@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,8 @@ def test_verify_all_suites_default_ranges(capsys):
     lines = out.strip().splitlines()
     assert len(lines) >= 10
     assert all(line.startswith("PASS") for line in lines)
+    golden = Path(__file__).parent / "golden" / "verify-all.txt"
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def test_verify_failure_sets_exit_status(capsys, monkeypatch):
