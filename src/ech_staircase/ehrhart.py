@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil, gcd, lcm
 
 from .core import Ellipsoid
-from .intervals import MAX_BITS, START_BITS, AdaptiveScalar, PrecisionError
+from .intervals import MAX_BITS, START_BITS, AdaptiveScalar, Interval, PrecisionError
 from .render import decimal_str
 
 
@@ -259,58 +259,53 @@ def boundary_lattice_count(t: int) -> int:
     return (t + 11) // 12 if t % 2 == 0 else 0
 
 
-def _region_tallies(n_lo: int, n_hi: int, den: int, t: int, exact: bool) -> tuple[int, int]:
-    """Wedge tallies with a enclosed in [n_lo, n_hi] / den.
+def _edge_ceil(lo_num: int, hi_num: int, m: int) -> int:
+    """ceil(max(0, x)) for a parameter-edge bound x in [lo_num, hi_num] / m.
 
-    exact=True means a is exactly n_lo/den (== n_hi/den) and lattice points
-    on the parameter edge are handled by the stated conventions; otherwise
-    any floor/ceil ambiguity raises _Straddle for the caller to refine.
+    Raises _Straddle unless every point of the enclosure gives the same
+    non-integral answer; an exact bound (lo_num == hi_num) raises only when it
+    is a nonnegative integer, which each caller's on-edge policy then handles.
     """
+    if hi_num < 0:
+        return 0
+    if lo_num > 0 and lo_num % m and hi_num % m:
+        ce = -((-lo_num) // m)
+        if ce == -((-hi_num) // m):
+            return ce
+    raise _Straddle
+
+
+def _edge_floor(lo_num: int, hi_num: int, m: int) -> int:
+    """floor(x) for a parameter-edge bound x in [lo_num, hi_num] / m, or _Straddle."""
+    fl = lo_num // m
+    if fl != hi_num // m:
+        raise _Straddle
+    return fl
+
+
+def _region_tallies(n_lo: int, n_hi: int, den: int, t: int) -> tuple[int, int]:
+    """Wedge tallies with a enclosed in [n_lo, n_hi] / den; n_lo == n_hi
+    means a is exactly that rational."""
     m = 12 * den
     base = 3 * t * den
     upper = 0
     for y in range((t + 11) // 12, t // 6 + 1):
-        fl_ref = (t - 6 * y) // 2
         c1 = t - 12 * y
         if c1 == 0:
             upper += 1  # crossing point, a lattice point exactly when 12 | t
             continue
         lo_num = base + c1 * n_hi
-        hi_num = base + c1 * n_lo
-        if exact:
-            num = lo_num
-            if num >= 0 and num % m == 0:
-                lo = num // m + 1  # on the parameter edge: excluded from the upper wedge
-            elif num <= 0:
-                lo = 0
-            else:
-                lo = -((-num) // m)
-        else:
-            if hi_num < 0:
-                lo = 0
-            elif lo_num > 0 and lo_num % m and hi_num % m:
-                lo = -((-lo_num) // m)
-                if lo != -((-hi_num) // m):
-                    raise _Straddle
-            else:
-                raise _Straddle
-        upper += max(0, fl_ref - lo + 1)
+        try:
+            lo = _edge_ceil(lo_num, base + c1 * n_lo, m)
+        except _Straddle:
+            if n_lo != n_hi:
+                raise
+            lo = lo_num // m + 1  # on the parameter edge: excluded from the upper wedge
+        upper += max(0, (t - 6 * y) // 2 - lo + 1)
     lower = 0
     for y in range(t // 12 + 1):
-        ce_ref = (t - 6 * y + 1) // 2
-        c1 = t - 12 * y
-        if c1 == 0:
-            lower += 1
-            continue
-        lo_num = base + c1 * n_lo
-        hi_num = base + c1 * n_hi
-        if exact:
-            fl = lo_num // m
-        else:
-            fl = lo_num // m
-            if fl != hi_num // m:
-                raise _Straddle
-        lower += max(0, fl - ce_ref + 1)
+        fl = _edge_floor(base + (t - 12 * y) * n_lo, base + (t - 12 * y) * n_hi, m)
+        lower += max(0, fl - (t - 6 * y + 1) // 2 + 1)
     return upper, lower
 
 
@@ -319,20 +314,29 @@ def _interval_ints(iv) -> tuple[int, int, int]:
     return iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator), den
 
 
-def _run_refined(a: AdaptiveScalar, t: int, worker):
-    """Call worker(n_lo, n_hi, den, t) under refinement, checking 3 < a <= 4."""
+def _on_parameter(a, t: int, worker):
+    """Run worker(n_lo, n_hi, den, t) for 3 < a <= 4 and t >= 1; returns (a, result).
+
+    A rational a (returned as a Fraction) goes to the worker exactly; an
+    AdaptiveScalar is enclosed, refining while the worker raises _Straddle.
+    """
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    if isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+        enclosure = lambda bits: Interval(a, a)
+    elif isinstance(a, AdaptiveScalar):
+        enclosure = a.enclosure
+    else:
+        raise TypeError(f"unsupported scalar type {type(a).__name__}")
     bits = START_BITS
     while True:
-        iv = a.enclosure(bits)
+        iv = enclosure(bits)
         if iv.hi <= 3 or iv.lo > 4:
-            raise ValueError(f"parameter {a!r} lies outside (3, 4]")
+            raise ValueError(f"parameter {a} lies outside (3, 4]")
         if iv.lo > 3 and iv.hi <= 4:
-            if iv.lo == iv.hi:
-                # degenerate enclosure: route to the exact rational path
-                return worker(iv.lo.numerator, iv.lo.numerator, iv.lo.denominator, t, True)
             try:
-                n_lo, n_hi, den = _interval_ints(iv)
-                return worker(n_lo, n_hi, den, t, False)
+                return a, worker(*_interval_ints(iv), t)
             except _Straddle:
                 pass
         if bits >= MAX_BITS:
@@ -348,17 +352,7 @@ def region_counts(a, t: int) -> SliceCounts:
     a may be a rational (exact path) or an AdaptiveScalar enclosing an
     irrational; enclosures are refined until every slice floor resolves.
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    if isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-        if not (3 < a <= 4):
-            raise ValueError(f"parameter {a} lies outside (3, 4]")
-        upper, lower = _region_tallies(a.numerator, a.numerator, a.denominator, t, True)
-    elif isinstance(a, AdaptiveScalar):
-        upper, lower = _run_refined(a, t, _region_tallies)
-    else:
-        raise TypeError(f"unsupported scalar type {type(a).__name__}")
+    a, (upper, lower) = _on_parameter(a, t, _region_tallies)
     return SliceCounts(t, a, upper, lower, boundary_lattice_count(t))
 
 
@@ -389,17 +383,12 @@ class SliceInequalityReport:
         return all(s.ok for s in self.slices)
 
 
-def _slant_bounds(base: int, c1: int, n_lo: int, n_hi: int) -> tuple[int, int]:
-    nums = (base + c1 * n_lo, base + c1 * n_hi)
-    return min(nums), max(nums)
-
-
-def _slice_rows(n_lo: int, n_hi: int, den: int, t: int, exact: bool) -> list[SliceCheck]:
+def _slice_rows(n_lo: int, n_hi: int, den: int, t: int) -> list[SliceCheck]:
     m = 12 * den
     base = 3 * t * den
 
-    def slant_str(lo_num: int, hi_num: int) -> str:
-        if exact:
+    def edge_str(lo_num: int, hi_num: int) -> str:
+        if lo_num == hi_num:  # a exact, or the crossing height
             return str(Fraction(lo_num, m))
         return "~" + decimal_str(Fraction(lo_num + hi_num, 2 * m), 12)
 
@@ -407,48 +396,29 @@ def _slice_rows(n_lo: int, n_hi: int, den: int, t: int, exact: bool) -> list[Sli
     y_top = t // 6
     for y0 in range((t + 11) // 12, y_top + 1):
         y1 = y_top - y0
-        x2 = Fraction(t - 6 * y0, 2)
-        x3 = Fraction(t - 6 * y1, 2)
-        c1_up = t - 12 * y0
-        c1_dn = t - 12 * y1
         # ceil(max(0, x1)) on the parameter edge at the upper height
-        if c1_up == 0:
+        up_lo, up_hi = base + (t - 12 * y0) * n_hi, base + (t - 12 * y0) * n_lo
+        if 12 * y0 == t:
             ce1 = t // 4
-            x1_str = str(Fraction(t, 4))
         else:
-            lo_num, hi_num = _slant_bounds(base, c1_up, n_lo, n_hi)
-            x1_str = slant_str(lo_num, hi_num)
-            if exact:
-                if lo_num >= 0 and lo_num % m == 0:
-                    raise ValueError(
-                        f"slice bound is integral at t={t}, y0={y0}; "
-                        "the per-slice inequality needs a with non-integral bounds"
-                    )
-                ce1 = 0 if lo_num <= 0 else -((-lo_num) // m)
-            else:
-                if hi_num < 0:
-                    ce1 = 0
-                elif lo_num > 0 and lo_num % m and hi_num % m:
-                    ce1 = -((-lo_num) // m)
-                    if ce1 != -((-hi_num) // m):
-                        raise _Straddle
-                else:
-                    raise _Straddle
+            try:
+                ce1 = _edge_ceil(up_lo, up_hi, m)
+            except _Straddle:
+                if n_lo != n_hi:
+                    raise
+                raise ValueError(
+                    f"slice bound is integral at t={t}, y0={y0}; "
+                    "the per-slice inequality needs a with non-integral bounds"
+                ) from None
         # floor(x4) on the parameter edge at the lower height
-        if c1_dn == 0:
-            fl4 = t // 4
-            x4_str = str(Fraction(t, 4))
-        else:
-            lo_num, hi_num = _slant_bounds(base, c1_dn, n_lo, n_hi)
-            x4_str = slant_str(lo_num, hi_num)
-            fl4 = lo_num // m
-            if not exact and fl4 != hi_num // m:
-                raise _Straddle
+        dn_lo, dn_hi = base + (t - 12 * y1) * n_lo, base + (t - 12 * y1) * n_hi
+        fl4 = _edge_floor(dn_lo, dn_hi, m)
         lhs = (t - 6 * y0) // 2 - ce1 + 1
         rhs = fl4 - (t - 6 * y1 + 1) // 2 + 1
-        rows.append(
-            SliceCheck(y0, y1, x1_str, x2, x3, x4_str, lhs, rhs, lhs <= rhs)
-        )
+        rows.append(SliceCheck(
+            y0, y1, edge_str(up_lo, up_hi), Fraction(t - 6 * y0, 2), Fraction(t - 6 * y1, 2),
+            edge_str(dn_lo, dn_hi), lhs, rhs, lhs <= rhs,
+        ))
     return rows
 
 
@@ -460,17 +430,7 @@ def verify_slice_inequality(a, t: int) -> SliceInequalityReport:
     vacuous.  Rational a must keep the upper parameter-edge bound
     non-integral away from the crossing (otherwise ValueError).
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    if isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-        if not (3 < a <= 4):
-            raise ValueError(f"parameter {a} lies outside (3, 4]")
-        rows = _slice_rows(a.numerator, a.numerator, a.denominator, t, True)
-    elif isinstance(a, AdaptiveScalar):
-        rows = _run_refined(a, t, _slice_rows)
-    else:
-        raise TypeError(f"unsupported scalar type {type(a).__name__}")
+    a, rows = _on_parameter(a, t, _slice_rows)
     return SliceInequalityReport(t, a, tuple(rows), vacuous=not rows)
 
 

@@ -248,6 +248,25 @@ def test_region_counts_matches_between_paths():
     exact = region_counts(a, 36)
     wrapped = region_counts(AdaptiveScalar.of(a), 36)
     assert (exact.upper, exact.lower) == (wrapped.upper, wrapped.lower)
+    # a non-degenerate enclosure of a rational takes the inexact path; whenever
+    # it resolves (it cannot where a bound lies on the parameter edge) it must
+    # equal the exact result
+    width = F(1, 2**32)
+    resolved = 0
+    for a in (F(1801, 500), F(7, 2), F(10, 3), F(96, 25), F(12055, 3607)):
+        fuzzy = AdaptiveScalar(lambda bits, a=a: Interval(a - width, a + width))
+        for t in range(1, 121):
+            try:
+                rc = region_counts(fuzzy, t)
+                rows = verify_slice_inequality(fuzzy, t).slices
+            except PrecisionError:
+                continue
+            resolved += 1
+            exact = region_counts(a, t)
+            assert (rc.upper, rc.lower) == (exact.upper, exact.lower), (a, t)
+            exact_rows = verify_slice_inequality(a, t).slices
+            assert [(r.lhs, r.rhs) for r in rows] == [(r.lhs, r.rhs) for r in exact_rows], (a, t)
+    assert resolved > 550  # of 600; the rest have a bound on the parameter edge
 
 
 def test_region_counts_domain_errors():
