@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .capacities import capacity_lower_bound, capacity_prefix, max_capacity_ratio
+from .capacities import capacity_lower_bound
 from .core import Ellipsoid, accumulation_point
 from .ehrhart import DominationVerdict, embedding_decision
 from .surd import QuadraticSurd
@@ -285,12 +285,10 @@ def verify_43_case(t_max: int, a_grid: list[Fraction] | None = None) -> Case43Re
     if any(not 2 <= a <= 4 for a in grid):
         raise ValueError("grid values must lie in [2, 4]")
     target = Ellipsoid(Fraction(1), Fraction(4, 3))
-    target_prefix = capacity_prefix(target, 11)
     rows = []
     for a in grid:
         claimed = claimed_value_43(a)
-        src_prefix = capacity_prefix(Ellipsoid(Fraction(1), a), 11)
-        lower = max_capacity_ratio(src_prefix, target_prefix)
+        lower = capacity_lower_bound(a, target.b, 10)
         upper = embedding_decision(
             Ellipsoid(Fraction(1), a), target.scaled(claimed), t_max
         )
@@ -333,17 +331,15 @@ def scan_rows(
     b, a_lo, step = Fraction(b), Fraction(a_lo), Fraction(step)
     if a_lo < 1 or step <= 0:
         raise ValueError("need a_lo >= 1 and a positive step")
-    target_prefix = capacity_prefix(Ellipsoid(Fraction(1), b), n_cap + 1)
     rows = []
     a = a_lo
     while a <= a_hi:
-        src_prefix = capacity_prefix(Ellipsoid(Fraction(1), a), n_cap + 1)
         rows.append(
             ScanRow(
                 a,
                 QuadraticSurd.sqrt_of(a / b),
                 bullet_lower_bound(b, a),
-                max_capacity_ratio(src_prefix, target_prefix),
+                capacity_lower_bound(a, b, n_cap),
             )
         )
         a += step
@@ -483,9 +479,7 @@ def theorem_report(
         a_probe = Fraction(1)
         while a_probe + grid_step < a0:
             a_probe += grid_step
-        src = capacity_prefix(Ellipsoid(Fraction(1), a_probe), n_cap + 1)
-        tgt = capacity_prefix(Ellipsoid(Fraction(1), b), n_cap + 1)
-        lb = max_capacity_ratio(src, tgt)
+        lb = capacity_lower_bound(a_probe, b, n_cap)
         consistent = QuadraticSurd.from_rational(lb * lb * b) <= a0
         checks.append(
             NamedCheck(

@@ -8,7 +8,9 @@ incremental min-frontier over the lattice, run in scaled integers.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .core import Ellipsoid
@@ -69,7 +71,9 @@ def capacity_prefix(ellipsoid: Ellipsoid, count: int) -> list[Fraction]:
     return CapacitySequence(ellipsoid).prefix(count)
 
 
-def max_capacity_ratio(source_prefix: list[Fraction], target_prefix: list[Fraction]) -> Fraction:
+def max_capacity_ratio(
+    source_prefix: Sequence[Fraction], target_prefix: Sequence[Fraction]
+) -> Fraction:
     """max over k >= 1 of source[k] / target[k], over the common prefix length."""
     n = min(len(source_prefix), len(target_prefix))
     if n < 2:
@@ -77,12 +81,18 @@ def max_capacity_ratio(source_prefix: list[Fraction], target_prefix: list[Fracti
     return max(source_prefix[k] / target_prefix[k] for k in range(1, n))
 
 
+@lru_cache(maxsize=4)
+def _target_prefix(b: Fraction, count: int) -> tuple[Fraction, ...]:
+    return tuple(capacity_prefix(Ellipsoid(Fraction(1), b), count))
+
+
 def capacity_lower_bound(a: Fraction, b: Fraction, n: int) -> Fraction:
     """Certified lower bound for the embedding function at (a, b):
     max over 1 <= k <= n of c_k(E(1, a)) / c_k(E(1, b)).
 
     A lower bound only; exact decisions go through the lattice-count
-    criterion in the ehrhart module.
+    criterion in the ehrhart module.  The target prefix is cached per (b, n),
+    since grid scans ask for many a against one b.
     """
     a, b = Fraction(a), Fraction(b)
     if a < 1 or b < 1:
@@ -90,5 +100,4 @@ def capacity_lower_bound(a: Fraction, b: Fraction, n: int) -> Fraction:
     if n < 1:
         raise ValueError("need n >= 1")
     src = capacity_prefix(Ellipsoid(Fraction(1), a), n + 1)
-    tgt = capacity_prefix(Ellipsoid(Fraction(1), b), n + 1)
-    return max_capacity_ratio(src, tgt)
+    return max_capacity_ratio(src, _target_prefix(b, n + 1))
