@@ -12,10 +12,11 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from fractions import Fraction
 
 from .analysis import (
+    NamedCheck,
     grid_43,
     scan_rows,
     theorem_report,
@@ -41,21 +42,13 @@ def parse_rational(token: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator: {token!r}")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    parameters: dict = field(default_factory=dict)
-    output_format: str = "text"
-    output_path: str | None = None
-    precision: int = 12
-
-
-def _emit(rows: list[dict], config: RunConfig, preamble: list[str] | None = None) -> None:
+def _emit(
+    rows: list[dict] | dict, ns: argparse.Namespace, preamble: list[str] | None = None
+) -> None:
     out = io.StringIO()
-    if config.output_format == "json":
-        out.write(json.dumps(rows, indent=2))
-        out.write("\n")
-    elif config.output_format == "csv":
+    if ns.format == "json":
+        out.write(json.dumps(rows, indent=2) + "\n")
+    elif ns.format == "csv":
         if rows:
             writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
             writer.writeheader()
@@ -66,55 +59,54 @@ def _emit(rows: list[dict], config: RunConfig, preamble: list[str] | None = None
         for row in rows:
             out.write(", ".join(str(v) for v in row.values()) + "\n")
     text = out.getvalue()
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+    if ns.output:
+        with open(ns.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_capacities(config: RunConfig) -> int:
-    p = config.parameters
-    e = Ellipsoid(p["ellipsoid"][0], p["ellipsoid"][1])
-    values = capacity_prefix(e, p["count"])
-    if config.output_format == "text":
+def _check_line(c: NamedCheck) -> str:
+    return f"{c.verdict.upper():4} {c.name}: {c.witness}"
+
+
+def _cmd_capacities(ns: argparse.Namespace) -> int:
+    values = capacity_prefix(Ellipsoid(*ns.ellipsoid), ns.count)
+    if ns.format == "text":
         rows = [{"k": k, "value": v} for k, v in enumerate(values)]
     else:
         rows = [
-            {"k": k, "value": str(v), "decimal": decimal_str(v, config.precision)}
+            {"k": k, "value": str(v), "decimal": decimal_str(v, ns.precision)}
             for k, v in enumerate(values)
         ]
-    _emit(rows, config)
+    _emit(rows, ns)
     return 0
 
 
-def _cmd_accumulation(config: RunConfig) -> int:
-    p = config.parameters
-    data = accumulation_point(p["k"], p["l"])
-    row = {
-        "k": data.k,
-        "l": data.l,
-        "per": str(data.per),
-        "vol": str(data.vol),
-        "a0": str(data.a0),
-        "a0_decimal": data.a0.decimal(config.precision),
-    }
-    if config.output_format == "text":
-        _emit([], config, preamble=[
+def _cmd_accumulation(ns: argparse.Namespace) -> int:
+    data = accumulation_point(ns.k, ns.l)
+    if ns.format == "text":
+        _emit([], ns, preamble=[
             f"a0 = {data.a0}",
-            f"a0 ~ {data.a0.decimal(config.precision)}",
+            f"a0 ~ {data.a0.decimal(ns.precision)}",
             f"per = {data.per}",
             f"vol = {data.vol}",
         ])
     else:
-        _emit([row], config)
+        _emit([{
+            "k": data.k,
+            "l": data.l,
+            "per": str(data.per),
+            "vol": str(data.vol),
+            "a0": str(data.a0),
+            "a0_decimal": data.a0.decimal(ns.precision),
+        }], ns)
     return 0
 
 
-def _cmd_ehrhart(config: RunConfig) -> int:
-    p = config.parameters
-    tri = RightTriangle(p["triangle"][0], p["triangle"][1])
-    if p["fit"]:
+def _cmd_ehrhart(ns: argparse.Namespace) -> int:
+    tri = RightTriangle(*ns.triangle)
+    if ns.fit:
         qp = fit_quasi_polynomial(tri)
         rows = [
             {
@@ -125,56 +117,42 @@ def _cmd_ehrhart(config: RunConfig) -> int:
             }
             for r in range(qp.period)
         ]
-        _emit(rows, config, preamble=[f"period = {qp.period}"])
+        _emit(rows, ns, preamble=[f"period = {qp.period}"])
     else:
-        rows = [
-            {"t": t, "count": triangle_count(tri, t)}
-            for t in range(1, p["t_max"] + 1)
-        ]
-        _emit(rows, config)
+        rows = [{"t": t, "count": triangle_count(tri, t)} for t in range(1, ns.t_max + 1)]
+        _emit(rows, ns)
     return 0
 
 
-def _cmd_scan(config: RunConfig) -> int:
-    p = config.parameters
-    rows_out = []
-    for row in scan_rows(p["b"], p["a_lo"], p["a_hi"], p["step"], p["n_cap"]):
-        rows_out.append(
-            {
-                "a": str(row.a),
-                "a_decimal": decimal_str(row.a, config.precision),
-                "volume_bound": row.volume.decimal(30),
-                "bullet_bound": str(row.bullet),
-                "bullet_decimal": decimal_str(row.bullet, config.precision),
-                "capacity_bound": str(row.capacity),
-                "capacity_decimal": decimal_str(row.capacity, config.precision),
-            }
-        )
-    _emit(rows_out, config)
-    return 0
-
-
-def _cmd_verify(config: RunConfig) -> int:
-    p = config.parameters
-    names = list(SUITES) if p["suite"] == "all" else [p["suite"]]
-    checks = run_suites(
-        names, t_max=p["t_max"], n_cap=p["n_cap"], seed=p["seed"], samples=p["samples"]
-    )
+def _cmd_scan(ns: argparse.Namespace) -> int:
     rows = [
-        {"name": c.name, "hypothesis": c.hypothesis, "verdict": c.verdict, "witness": c.witness}
-        for c in checks
+        {
+            "a": str(row.a),
+            "a_decimal": decimal_str(row.a, ns.precision),
+            "volume_bound": row.volume.decimal(30),
+            "bullet_bound": str(row.bullet),
+            "bullet_decimal": decimal_str(row.bullet, ns.precision),
+            "capacity_bound": str(row.capacity),
+            "capacity_decimal": decimal_str(row.capacity, ns.precision),
+        }
+        for row in scan_rows(ns.b, ns.a_lo, ns.a_hi, ns.step, ns.n_cap)
     ]
-    if config.output_format == "text":
-        lines = [f"{c.verdict.upper():4} {c.name}: {c.witness}" for c in checks]
-        _emit([], config, preamble=lines)
+    _emit(rows, ns)
+    return 0
+
+
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    names = list(SUITES) if ns.suite == "all" else [ns.suite]
+    checks = run_suites(names, t_max=ns.t_max, n_cap=ns.n_cap, seed=ns.seed, samples=ns.samples)
+    if ns.format == "text":
+        _emit([], ns, preamble=[_check_line(c) for c in checks])
     else:
-        _emit(rows, config)
+        _emit([asdict(c) for c in checks], ns)
     return 1 if any(c.failed for c in checks) else 0
 
 
-def _cmd_report43(config: RunConfig) -> int:
-    p = config.parameters
-    rep = verify_43_case(p["t_max"], grid_43(p["grid_step"]))
+def _cmd_report43(ns: argparse.Namespace) -> int:
+    rep = verify_43_case(ns.t_max, grid_43(ns.grid_step))
     rows = [
         {
             "a": str(r.a),
@@ -186,81 +164,45 @@ def _cmd_report43(config: RunConfig) -> int:
         }
         for r in rep.rows
     ]
-    _emit(rows, config, preamble=[f"t_max = {rep.t_max}, overall: {'pass' if rep.ok else 'FAIL'}"])
+    _emit(rows, ns, preamble=[f"t_max = {rep.t_max}, overall: {'pass' if rep.ok else 'FAIL'}"])
     return 0 if rep.ok else 1
 
 
-def _cmd_theorem_report(config: RunConfig) -> int:
-    p = config.parameters
-    rep = theorem_report(p["k"], p["l"], t_max=p["t_max"], n_cap=p["n_cap"],
-                         grid_step=p["grid_step"])
-    if config.output_format == "csv":
-        rows = [
-            {
-                "a": str(row.a),
-                "volume_bound": row.volume.decimal(30),
-                "bullet_bound": str(row.bullet),
-                "capacity_bound": str(row.capacity),
-            }
-            for row in rep.grid
-        ]
-        _emit(rows, config)
-    elif config.output_format == "json":
-        payload = {
-            "k": rep.k,
-            "l": rep.l,
-            "b": str(rep.b),
-            "category": rep.category,
-            "special": rep.special,
-            "a0": str(rep.a0),
-            "a0_decimal": rep.a0.decimal(config.precision),
-            "per": str(rep.per),
-            "vol": str(rep.vol),
-            "lemma": rep.lemma,
-            "checks": [
-                {"name": c.name, "hypothesis": c.hypothesis, "verdict": c.verdict,
-                 "witness": c.witness}
-                for c in rep.checks
-            ],
-            "grid": [
-                {"a": str(row.a), "volume_bound": row.volume.decimal(30),
-                 "bullet_bound": str(row.bullet), "capacity_bound": str(row.capacity)}
-                for row in rep.grid
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-        if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
+def _cmd_theorem_report(ns: argparse.Namespace) -> int:
+    rep = theorem_report(ns.k, ns.l, t_max=ns.t_max, n_cap=ns.n_cap, grid_step=ns.grid_step)
+    if ns.format == "text":
         lines = [
             f"(k, l) = ({rep.k}, {rep.l}), b = {rep.b}, category = {rep.category}",
-            f"a0 = {rep.a0} ~ {rep.a0.decimal(config.precision)}; per = {rep.per}, vol = {rep.vol}",
+            f"a0 = {rep.a0} ~ {rep.a0.decimal(ns.precision)}; per = {rep.per}, vol = {rep.vol}",
         ]
-        lines += [f"{c.verdict.upper():4} {c.name}: {c.witness}" for c in rep.checks]
+        lines += [_check_line(c) for c in rep.checks]
         lines.append(f"grid rows: {len(rep.grid)} (use --format csv for the scan)")
-        _emit([], config, preamble=lines)
+        _emit([], ns, preamble=lines)
+        return 0 if rep.ok else 1
+    grid = [
+        {
+            "a": str(row.a),
+            "volume_bound": row.volume.decimal(30),
+            "bullet_bound": str(row.bullet),
+            "capacity_bound": str(row.capacity),
+        }
+        for row in rep.grid
+    ]
+    _emit(grid if ns.format == "csv" else {
+        "k": rep.k,
+        "l": rep.l,
+        "b": str(rep.b),
+        "category": rep.category,
+        "special": rep.special,
+        "a0": str(rep.a0),
+        "a0_decimal": rep.a0.decimal(ns.precision),
+        "per": str(rep.per),
+        "vol": str(rep.vol),
+        "lemma": rep.lemma,
+        "checks": [asdict(c) for c in rep.checks],
+        "grid": grid,
+    }, ns)
     return 0 if rep.ok else 1
-
-
-_HANDLERS = {
-    "capacities": _cmd_capacities,
-    "accumulation": _cmd_accumulation,
-    "ehrhart": _cmd_ehrhart,
-    "scan": _cmd_scan,
-    "verify": _cmd_verify,
-    "report-43": _cmd_report43,
-    "theorem-report": _cmd_theorem_report,
-}
-
-
-def run(config: RunConfig) -> int:
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise ValueError(f"unknown command {config.command!r}")
-    return handler(config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_format: str = "text") -> None:
+    def common(p: argparse.ArgumentParser, func, default_format: str = "text") -> None:
+        p.set_defaults(func=func)
         p.add_argument("--format", choices=("text", "csv", "json"), default=default_format)
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
         p.add_argument("--precision", type=int, default=12, help="significant digits for decimals")
@@ -278,18 +221,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacities", help="print a capacity prefix of an ellipsoid")
     p.add_argument("--ellipsoid", nargs=2, type=parse_rational, required=True, metavar=("A", "B"))
     p.add_argument("--count", type=int, required=True)
-    common(p)
+    common(p, _cmd_capacities)
 
     p = sub.add_parser("accumulation", help="exact accumulation point for eccentricity k/l")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    common(p)
+    common(p, _cmd_accumulation)
 
     p = sub.add_parser("ehrhart", help="lattice counts or quasi-polynomial fit of a triangle")
     p.add_argument("--triangle", nargs=2, type=parse_rational, required=True, metavar=("U", "V"))
     p.add_argument("--t-max", type=int, default=24)
     p.add_argument("--fit", action="store_true", help="print the fitted quasi-polynomial")
-    common(p)
+    common(p, _cmd_ehrhart)
 
     p = sub.add_parser("scan", help="grid scan of volume/bullet/capacity bounds")
     p.add_argument("--b", type=parse_rational, required=True)
@@ -297,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-hi", type=parse_rational, required=True)
     p.add_argument("--step", type=parse_rational, default=Fraction(1, 20))
     p.add_argument("--n-cap", type=int, default=2000)
-    common(p, default_format="csv")
+    common(p, _cmd_scan, default_format="csv")
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=["all"] + list(SUITES), default="all")
@@ -305,12 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cap", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=40, help="sampled parameters for the slice suite")
-    common(p)
+    common(p, _cmd_verify)
 
     p = sub.add_parser("report-43", help="pin the embedding function for eccentricity 4/3")
     p.add_argument("--t-max", type=int, default=300)
     p.add_argument("--grid-step", type=parse_rational, default=Fraction(1, 20))
-    common(p)
+    common(p, _cmd_report43)
 
     p = sub.add_parser("theorem-report", help="per-(k, l) verification report")
     p.add_argument("--k", type=int, required=True)
@@ -318,27 +261,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=300)
     p.add_argument("--n-cap", type=int, default=2000)
     p.add_argument("--grid-step", type=parse_rational, default=Fraction(1, 60))
-    common(p)
+    common(p, _cmd_theorem_report)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
-    params = {
-        k: v
-        for k, v in vars(ns).items()
-        if k not in ("command", "format", "output", "precision")
-    }
-    config = RunConfig(
-        command=ns.command,
-        parameters=params,
-        output_format=ns.format,
-        output_path=ns.output,
-        precision=ns.precision,
-    )
     try:
-        return run(config)
+        return ns.func(ns)
     except (ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -251,14 +251,15 @@ def case43_checks(t_max: int = 300, step: Fraction = Fraction(1, 20)) -> list[Na
     ]
 
 
+# each suite reads what it needs from the options mapping built by run_suites
 SUITES = {
-    "weights": weight_identity_checks,
-    "capacities": capacity_oracle_checks,
-    "ehrhart-tables": ehrhart_table_checks,
-    "diff-identity": diff_identity_checks,
-    "slices": slice_checks,
-    "lemmas": lemma_checks,
-    "case-43": case43_checks,
+    "weights": lambda o: weight_identity_checks(),
+    "capacities": lambda o: capacity_oracle_checks(k_max=min(o["n_cap"], 300), seed=o["seed"]),
+    "ehrhart-tables": lambda o: ehrhart_table_checks(),
+    "diff-identity": lambda o: diff_identity_checks(max(o["t_max"], 12)),
+    "slices": lambda o: slice_checks(samples=o["samples"], t_max=o["t_max"], seed=o["seed"]),
+    "lemmas": lambda o: lemma_checks(),
+    "case-43": lambda o: case43_checks(t_max=o["t_max"]),
 }
 
 
@@ -269,16 +270,5 @@ def run_suites(
     seed: int = 0,
     samples: int = 40,
 ) -> list[NamedCheck]:
-    checks: list[NamedCheck] = []
-    for name in names:
-        if name == "diff-identity":
-            checks.extend(diff_identity_checks(max(t_max, 12)))
-        elif name == "slices":
-            checks.extend(slice_checks(samples=samples, t_max=t_max, seed=seed))
-        elif name == "case-43":
-            checks.extend(case43_checks(t_max=t_max))
-        elif name == "capacities":
-            checks.extend(capacity_oracle_checks(k_max=min(n_cap, 300), seed=seed))
-        else:
-            checks.extend(SUITES[name]())
-    return checks
+    options = {"t_max": t_max, "n_cap": n_cap, "seed": seed, "samples": samples}
+    return [check for name in names for check in SUITES[name](options)]
