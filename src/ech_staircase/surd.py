@@ -17,15 +17,25 @@ _FLOOR_BIT_CAP = 1 << 14  # refinement bound for floor/log searches; plenty for 
 
 
 def _square_split(n: int) -> tuple[int, int]:
-    """Write n >= 0 as f*f*d with d squarefree; returns (f, d)."""
-    f, d, k = 1, n, 2
-    while k * k <= d:
-        kk = k * k
-        while d % kk == 0:
-            d //= kk
+    """Write n >= 0 as f*f*d with d squarefree; returns (f, d), and (1, 0) for n = 0.
+
+    Trial division runs only while k**3 <= the cofactor m, so it costs
+    O(n**(1/3)): what is left of m then has no prime factor below k and is
+    below k**3, so it is 1, a prime, two distinct primes or a prime square.
+    """
+    f, d, m, k = 1, 1, n, 2
+    while k * k * k <= m:
+        while m % (k * k) == 0:
+            m //= k * k
             f *= k
+        if m % k == 0:
+            m //= k
+            d *= k
         k += 1
-    return f, d
+    r = isqrt(m)
+    if m > 1 and r * r == m:
+        return f * r, d
+    return f, d * m
 
 
 class QuadraticSurd:

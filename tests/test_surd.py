@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ech_staircase.surd import QuadraticSurd
+from ech_staircase.core import accumulation_point
+from ech_staircase.surd import QuadraticSurd, _square_split
 
 
 def test_normalization_reduces_and_extracts_squares():
@@ -15,6 +17,40 @@ def test_normalization_reduces_and_extracts_squares():
     # perfect square radicand collapses to a rational
     s = QuadraticSurd(1, 3, 9, 2)
     assert s.is_rational and s.as_fraction() == F(10, 2)
+
+
+def _trial_division_split(n):
+    """Reference f*f*d split: divide out k*k for every k with k*k <= the rest."""
+    f, d, k = 1, n, 2
+    while k * k <= d:
+        while d % (k * k) == 0:
+            d //= k * k
+            f *= k
+        k += 1
+    return f, d
+
+
+def test_square_split_matches_trial_division():
+    rng = random.Random(7)
+    values = list(range(3000)) + [rng.randrange(10**8) for _ in range(100)]
+    values += [rng.randrange(1, 10**4) * rng.randrange(1, 10**3) ** 2 for _ in range(100)]
+    for n in values:
+        assert _square_split(n) == _trial_division_split(n), n
+    # cofactors left past the cube-root bound: prime squares and prime pairs
+    p, q = 999_983, 1_000_003
+    assert _square_split(p * p) == (p, 1)
+    assert _square_split(12 * p * p) == (2 * p, 3)
+    assert _square_split(p * q) == (1, p * q)
+    assert _square_split(8 * p * q) == (2, 2 * p * q)
+    assert _square_split(p**3) == (p, p)
+
+
+def test_accumulation_point_with_large_prime_k():
+    # the radicand is about 10**18; trial division to its square root never ended
+    data = accumulation_point(10**9 + 7, 2)
+    a0 = data.a0
+    assert not a0.is_rational
+    assert a0 * a0 - (data.per**2 / data.vol - 2) * a0 + 1 == 0
 
 
 def test_rational_roundtrip():
