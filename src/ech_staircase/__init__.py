@@ -50,7 +50,6 @@ from .ehrhart import (
     SliceInequalityReport,
     boundary_lattice_count,
     ehrhart_dominates,
-    ehrhart_dominates_exact,
     embedding_decision,
     fit_quasi_polynomial,
     parameter_triangle,
@@ -96,7 +95,6 @@ __all__ = [
     "capacity_prefix",
     "decimal_str",
     "ehrhart_dominates",
-    "ehrhart_dominates_exact",
     "embedding_decision",
     "fit_quasi_polynomial",
     "frac_part",

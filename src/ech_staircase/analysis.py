@@ -279,7 +279,7 @@ def verify_43_case(t_max: int, a_grid: list[Fraction] | None = None) -> Case43Re
 
     Lower side: the k <= 10 capacity ratio must equal the claimed value
     exactly (k = 2 carries the plateau, k = 10 the line).  Upper side: the
-    lattice-count criterion must confirm the matching embedding through t_max.
+    lattice counts must confirm the matching embedding at every level <= t_max.
     """
     grid = grid_43() if a_grid is None else [Fraction(a) for a in a_grid]
     if any(not 2 <= a <= 4 for a in grid):

@@ -14,7 +14,6 @@ from math import ceil, gcd, lcm
 
 from .core import Ellipsoid
 from .intervals import MAX_BITS, START_BITS, AdaptiveScalar, Interval, PrecisionError
-from .render import decimal_str
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def triangle_count(tri: RightTriangle, t: int) -> int:
         return 1
     u, v = tri.u, tri.v
     # iterate over the shorter leg
-    if t * u < t * v:
+    if u < v:
         u, v = v, u
     # row y holds floor(t*u - y*u/v) + 1 points; in integers over beta*B:
     alpha, beta = u.numerator, u.denominator
@@ -114,36 +113,35 @@ def fit_quasi_polynomial(tri: RightTriangle) -> QuasiPolynomial:
     """Fit the Ehrhart quasi-polynomial of tri exactly.
 
     The leading coefficient is the area u*v/2, so two counts per residue pin
-    the linear and constant terms; counts at r + 2p and r + 3p then verify
-    the fit (failure signals a counting bug, not bad input).
+    the linear and constant terms; counts at r + 2p and r + 3p verify the fit
+    through the second difference 2 * area * p**2 = (u*p) * (v*p), an integer
+    (failure signals a counting bug, not bad input).
     """
     period = lcm(tri.u.denominator, tri.v.denominator)
-    leading = tri.u * tri.v / 2
+    second = int(tri.u * period * tri.v * period)
+    den = 2 * period * period  # leading = second / den
     linear: list[Fraction] = []
     constant: list[Fraction] = []
     for r in range(period):
-        l0 = triangle_count(tri, r)
-        l1 = triangle_count(tri, r + period)
-        b = Fraction(l1 - l0 - leading * ((r + period) ** 2 - r * r), period)
-        c = l0 - leading * r * r - b * r
-        for t in (r + 2 * period, r + 3 * period):
-            if leading * t * t + b * t + c != triangle_count(tri, t):
-                raise FitConsistencyError(f"fit for {tri} fails hold-out at t={t}")
-        linear.append(b)
-        constant.append(c)
-    return QuasiPolynomial(period, leading, tuple(linear), tuple(constant))
+        l0, l1, l2, l3 = (triangle_count(tri, r + j * period) for j in range(4))
+        if l2 - 2 * l1 + l0 != second or l3 - 2 * l2 + l1 != second:
+            raise FitConsistencyError(f"fit for {tri} fails hold-out at residue {r}")
+        b_num = 2 * period * (l1 - l0) - second * (2 * r + period)
+        linear.append(Fraction(b_num, den))
+        constant.append(Fraction(den * l0 - second * r * r - b_num * r, den))
+    return QuasiPolynomial(period, Fraction(second, den), tuple(linear), tuple(constant))
 
 
 @dataclass(frozen=True)
 class DominationVerdict:
-    """Outcome of a termwise lattice-count comparison.
+    """Outcome of a lattice-count comparison at every level t > 0.
 
-    checked_through is the last dilation examined for a truncated scan, or
-    None when the verdict covers every positive dilation (exact mode).
+    fails_at is the smallest failing level, a Fraction; checked_through is the
+    t_max of a truncated verdict, or None when every level is covered.
     """
 
     holds: bool
-    fails_at: int | None
+    fails_at: Fraction | None
     checked_through: int | None
 
     def __bool__(self) -> bool:
@@ -156,49 +154,69 @@ class DominationVerdict:
         return f"fails at t={self.fails_at}"
 
 
-def ehrhart_dominates(lhs: RightTriangle, rhs: RightTriangle, t_max: int) -> DominationVerdict:
-    """Check count(lhs, t) >= count(rhs, t) for t = 1..t_max (truncated verdict)."""
-    if t_max < 1:
-        raise ValueError("t_max must be positive")
-    for t in range(1, t_max + 1):
-        if triangle_count(lhs, t) < triangle_count(rhs, t):
-            return DominationVerdict(False, t, t_max)
-    return DominationVerdict(True, None, t_max)
+def _first_failure(lhs: RightTriangle, rhs: RightTriangle, last: int) -> int | None:
+    """Smallest s in [1, last] with count(lhs, s) < count(rhs, s), or None.
 
-
-def ehrhart_dominates_exact(lhs: RightTriangle, rhs: RightTriangle) -> DominationVerdict:
-    """Decide count(lhs, t) >= count(rhs, t) for every t >= 1.
-
-    Compares the fitted quasi-polynomials residue by residue; beyond an
-    explicit crossover bound the sign of each residue's difference polynomial
-    is locked by its leading nonzero coefficient, so a finite exact scan
-    settles the infinite check.
+    Both counts never decrease, so count(lhs, lo) >= count(rhs, hi) settles
+    all of [lo, hi]; the range doubles while that holds and halves when not.
     """
-    qp1 = fit_quasi_polynomial(lhs)
-    qp2 = fit_quasi_polynomial(rhs)
-    period = lcm(qp1.period, qp2.period)
-    alpha = qp1.leading - qp2.leading
-    scan_to = period
-    for r in range(period):
-        beta = qp1.linear[r % qp1.period] - qp2.linear[r % qp2.period]
-        gamma = qp1.constant[r % qp1.period] - qp2.constant[r % qp2.period]
-        if alpha > 0:
-            bound = (abs(beta) + abs(gamma)) / alpha
-        elif alpha == 0 and beta > 0:
-            bound = max(Fraction(0), -gamma) / beta
-        elif alpha == 0 and beta == 0:
-            if gamma >= 0:
-                continue
-            bound = Fraction(period + r)
-        elif alpha == 0:
-            bound = abs(gamma) / (-beta) + period
-        else:
-            bound = (abs(beta) + abs(gamma)) / (-alpha) + period
-        scan_to = max(scan_to, ceil(bound) + 1)
-    for t in range(1, scan_to + 1):
-        if qp1(t) < qp2(t):
-            return DominationVerdict(False, t, None)
-    return DominationVerdict(True, None, None)
+    lo, width = 1, 1
+    while lo <= last:
+        have = triangle_count(lhs, lo)
+        hi = min(lo + width, last)
+        while triangle_count(rhs, hi) > have:
+            if hi == lo:
+                return lo
+            hi = lo + (hi - lo) // 2
+        lo, width = hi + 1, 2 * (hi - lo) + 1
+    return None
+
+
+def _first_failure_equal_area(lhs: RightTriangle, rhs: RightTriangle) -> int | None:
+    """Smallest s >= 1 with count(lhs, s) < count(rhs, s) when the areas agree:
+    on each class s = r + j*P, P the common period, the two quasi-polynomials
+    differ by a linear function of j, so its values at r and r + P decide it."""
+    period = lcm(lhs.u.denominator, lhs.v.denominator, rhs.u.denominator, rhs.v.denominator)
+    first = None
+    for r in range(1, period + 1):
+        if first is not None and r >= first:
+            break
+        f0 = triangle_count(lhs, r) - triangle_count(rhs, r)
+        drop = f0 - triangle_count(lhs, r + period) + triangle_count(rhs, r + period)
+        if f0 < 0 or drop > 0:
+            s = r if f0 < 0 else r + (f0 // drop + 1) * period
+            first = s if first is None else min(first, s)
+    return first
+
+
+def ehrhart_dominates(
+    lhs: RightTriangle, rhs: RightTriangle, t_max: int | None = None
+) -> DominationVerdict:
+    """Decide count(lhs, t) >= count(rhs, t) at every real level 0 < t (<= t_max).
+
+    count(rhs, .) jumps only at levels in (1/d)Z, d = lcm of the numerators
+    of rhs's legs, and count(lhs, .) never decreases, so the levels s/d decide
+    every t; level s/d of a triangle is dilation s of its 1/d-scaled copy.
+    With unequal areas, t^2 uv <= 2 count(T, t) <= (t + 1/u + 1/v)^2 uv gives
+    a level past which the larger triangle's count stays ahead.
+    """
+    if t_max is not None and t_max < 1:
+        raise ValueError("t_max must be positive")
+    d = lcm(rhs.u.numerator, rhs.v.numerator)
+    lhs = RightTriangle(lhs.u / d, lhs.v / d)
+    rhs = RightTriangle(rhs.u / d, rhs.v / d)
+    last = None if t_max is None else t_max * d
+    area_l, area_r = lhs.u * lhs.v, rhs.u * rhs.v
+    if area_l == area_r:
+        s = _first_failure_equal_area(lhs, rhs)
+    else:
+        # (small, big) areas; sqrt(big * small) < (big + small) / 2 keeps the level rational
+        tri, small, big = (rhs, area_r, area_l) if area_l > area_r else (lhs, area_l, area_r)
+        settled = ceil((1 / tri.u + 1 / tri.v) * (big + 3 * small) / (2 * (big - small)))
+        s = _first_failure(lhs, rhs, settled if last is None else min(settled, last))
+    if s is None or (last is not None and s > last):
+        return DominationVerdict(True, None, t_max)
+    return DominationVerdict(False, Fraction(s, d), t_max)
 
 
 def embedding_decision(
@@ -207,15 +225,13 @@ def embedding_decision(
     """Decide whether source embeds into target via reciprocal-leg domination.
 
     The embedding exists iff the lattice counts of the source's reciprocal
-    triangle dominate the target's at every dilation; rational inputs make
-    both triangles rational.  Default mode truncates at t_max and says so;
-    exact mode settles all t through quasi-polynomial comparison.
+    triangle dominate the target's at every level (McDuff's criterion);
+    rational inputs make both triangles rational.  Default mode certifies
+    every level up to t_max and says so; exact mode certifies every level.
     """
     lhs = RightTriangle(1 / source.a, 1 / source.b)
     rhs = RightTriangle(1 / target.a, 1 / target.b)
-    if exact:
-        return ehrhart_dominates_exact(lhs, rhs)
-    return ehrhart_dominates(lhs, rhs, t_max)
+    return ehrhart_dominates(lhs, rhs, None if exact else t_max)
 
 
 # -- the horizontal-slice machinery ------------------------------------------
@@ -362,10 +378,6 @@ class SliceCheck:
 
     y0: int
     y1: int
-    x1: str
-    x2: Fraction
-    x3: Fraction
-    x4: str
     lhs: int
     rhs: int
     ok: bool
@@ -386,23 +398,16 @@ class SliceInequalityReport:
 def _slice_rows(n_lo: int, n_hi: int, den: int, t: int) -> list[SliceCheck]:
     m = 12 * den
     base = 3 * t * den
-
-    def edge_str(lo_num: int, hi_num: int) -> str:
-        if lo_num == hi_num:  # a exact, or the crossing height
-            return str(Fraction(lo_num, m))
-        return "~" + decimal_str(Fraction(lo_num + hi_num, 2 * m), 12)
-
     rows: list[SliceCheck] = []
     y_top = t // 6
     for y0 in range((t + 11) // 12, y_top + 1):
         y1 = y_top - y0
         # ceil(max(0, x1)) on the parameter edge at the upper height
-        up_lo, up_hi = base + (t - 12 * y0) * n_hi, base + (t - 12 * y0) * n_lo
         if 12 * y0 == t:
             ce1 = t // 4
         else:
             try:
-                ce1 = _edge_ceil(up_lo, up_hi, m)
+                ce1 = _edge_ceil(base + (t - 12 * y0) * n_hi, base + (t - 12 * y0) * n_lo, m)
             except _Straddle:
                 if n_lo != n_hi:
                     raise
@@ -411,14 +416,10 @@ def _slice_rows(n_lo: int, n_hi: int, den: int, t: int) -> list[SliceCheck]:
                     "the per-slice inequality needs a with non-integral bounds"
                 ) from None
         # floor(x4) on the parameter edge at the lower height
-        dn_lo, dn_hi = base + (t - 12 * y1) * n_lo, base + (t - 12 * y1) * n_hi
-        fl4 = _edge_floor(dn_lo, dn_hi, m)
+        fl4 = _edge_floor(base + (t - 12 * y1) * n_lo, base + (t - 12 * y1) * n_hi, m)
         lhs = (t - 6 * y0) // 2 - ce1 + 1
         rhs = fl4 - (t - 6 * y1 + 1) // 2 + 1
-        rows.append(SliceCheck(
-            y0, y1, edge_str(up_lo, up_hi), Fraction(t - 6 * y0, 2), Fraction(t - 6 * y1, 2),
-            edge_str(dn_lo, dn_hi), lhs, rhs, lhs <= rhs,
-        ))
+        rows.append(SliceCheck(y0, y1, lhs, rhs, lhs <= rhs))
     return rows
 
 
@@ -456,15 +457,11 @@ def verify_diff_identity(t_max: int) -> DiffIdentityReport:
     less one exactly when t = 4 mod 12, for t = 1..t_max."""
     if t_max < 12:
         raise ValueError("t_max must be at least 12")
-    violations = []
-    min_diff = (1, triangle_count(TRIANGLE_HALF_SIXTH, 1) - triangle_count(TRIANGLE_THIRD_QUARTER, 1))
+    violations, diffs = [], []
     for t in range(1, t_max + 1):
-        observed = triangle_count(TRIANGLE_HALF_SIXTH, t) - triangle_count(
-            TRIANGLE_THIRD_QUARTER, t
-        )
+        observed = triangle_count(TRIANGLE_HALF_SIXTH, t) - triangle_count(TRIANGLE_THIRD_QUARTER, t)
         expected = boundary_lattice_count(t) - (1 if t % 12 == 4 else 0)
         if observed != expected:
             violations.append((t, observed, expected))
-        if observed < min_diff[1]:
-            min_diff = (t, observed)
-    return DiffIdentityReport(t_max, tuple(violations), min_diff)
+        diffs.append((t, observed))
+    return DiffIdentityReport(t_max, tuple(violations), min(diffs, key=lambda p: p[1]))

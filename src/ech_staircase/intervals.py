@@ -59,10 +59,6 @@ class Interval:
         f = self.lo.__floor__()
         return f if f == self.hi.__floor__() else None
 
-    def __contains__(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
 
 class AdaptiveScalar:
     """A real number queryable for rational enclosures of any requested tightness.

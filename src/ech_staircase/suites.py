@@ -100,8 +100,10 @@ def weight_identity_checks(max_value: int = 200) -> list[NamedCheck]:
                 continue
             pairs += 1
             x = Fraction(p, q)
+            # each weight is n/q: sum(n) = p + q - 1 and sum(n^2) = p*q in integers
             ws = weight_sequence(x)
-            if sum(ws) != x + 1 - Fraction(1, q) or sum(w * w for w in ws) != x:
+            ns = [w.numerator * (q // w.denominator) for w in ws if q % w.denominator == 0]
+            if len(ns) != len(ws) or sum(ns) != p + q - 1 or sum(n * n for n in ns) != p * q:
                 bad_sum = bad_sum or (p, q)
             per, vol = per_vol(negative_weight_sequence(x))
             if per != Fraction(p + q + 1, q) or vol != x:

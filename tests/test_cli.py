@@ -53,6 +53,10 @@ def test_accumulation_usage_error(capsys):
     code, _, err = run_cli(capsys, "accumulation", "--k", "5", "--l", "7")
     assert code == 2
     assert "error" in err
+    # a radicand past the surd normalisation limit is a usage error, not a hang
+    code, _, err = run_cli(capsys, "accumulation", "--k", str(10**13 + 37), "--l", "2")
+    assert code == 2
+    assert "radicand" in err
 
 
 def test_malformed_rational_is_usage_error(capsys):

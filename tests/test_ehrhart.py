@@ -10,7 +10,6 @@ from ech_staircase.ehrhart import (
     RightTriangle,
     boundary_lattice_count,
     ehrhart_dominates,
-    ehrhart_dominates_exact,
     embedding_decision,
     fit_quasi_polynomial,
     parameter_triangle,
@@ -135,42 +134,49 @@ def test_dominates_examples():
     assert ehrhart_dominates(tri, tri, 50).holds
 
 
-def test_dominates_exact_agrees_with_truncated():
-    pairs = [
-        (TRIANGLE_HALF_SIXTH, TRIANGLE_THIRD_QUARTER),
-        (TRIANGLE_THIRD_QUARTER, TRIANGLE_HALF_SIXTH),
-        (RightTriangle(F(1), F(1, 5)), RightTriangle(F(2, 3), F(1, 2))),
-        (RightTriangle(F(1), F(1, 3)), RightTriangle(F(2, 3), F(1, 2))),
-    ]
-    for lhs, rhs in pairs:
-        exact = ehrhart_dominates_exact(lhs, rhs)
-        truncated = ehrhart_dominates(lhs, rhs, 500)
-        assert exact.holds == truncated.holds
-        assert exact.checked_through is None
-        if not exact.holds:
-            assert exact.fails_at == truncated.fails_at
+def _count_at(e, t):
+    """#{(m, n) >= 0 : m a + n b <= t} for a rational level t, by rows."""
+    return sum((t - m * e.a) // e.b + 1 for m in range(int(t // e.a) + 1))
 
 
-def test_dominates_exact_randomized_panel():
-    import random
+_legs = st.builds(F, st.integers(1, 8), st.integers(1, 4))
 
-    rng = random.Random(23)
-    holds = fails = 0
-    for _ in range(30):
-        legs = [F(rng.randrange(1, 9), rng.randrange(1, 5)) for _ in range(4)]
-        lhs, rhs = RightTriangle(legs[0], legs[1]), RightTriangle(legs[2], legs[3])
-        exact = ehrhart_dominates_exact(lhs, rhs)
-        truncated = ehrhart_dominates(lhs, rhs, 2000)
-        if exact.holds:
-            assert truncated.holds, (lhs, rhs)
-            holds += 1
-        else:
-            # the exact failure must be a genuine counting failure
-            assert triangle_count(lhs, exact.fails_at) < triangle_count(rhs, exact.fails_at)
-            if exact.fails_at <= 2000:
-                assert truncated.fails_at == exact.fails_at, (lhs, rhs)
-            fails += 1
-    assert holds and fails
+
+@given(a=_legs, b=_legs, c=_legs, e=_legs, equal_volume=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_dominates_matches_capacity_oracle(a, b, c, e, equal_volume):
+    # McDuff's criterion termwise: c_k(source) <= c_k(target) for every k, and
+    # the first failing level is c_k(target) at the smallest k that breaks it
+    from ech_staircase.capacities import capacity_prefix
+
+    source = Ellipsoid(a, b)
+    target = Ellipsoid(c, a * b / c if equal_volume else e)
+    v = embedding_decision(source, target, exact=True)
+    assert v.checked_through is None
+    if v.holds:
+        assert source.a * source.b <= target.a * target.b
+        n = 400
+    else:
+        assert _count_at(source, v.fails_at) < _count_at(target, v.fails_at)
+        n = _count_at(target, v.fails_at)
+    cs, ct = capacity_prefix(source, n), capacity_prefix(target, n)
+    broken = next((k for k in range(n) if cs[k] > ct[k]), None)
+    assert v.fails_at == (None if broken is None else ct[broken])
+
+
+def test_dominates_compares_between_integer_levels():
+    # c_1 = 1 > 1/2: the target count jumps at t = 1/2, before any integer level
+    v = embedding_decision(Ellipsoid(F(1), F(1)), Ellipsoid(F(1, 2), F(5)), exact=True)
+    assert not v.holds and v.fails_at == F(1, 2)
+    assert str(v) == "fails at t=1/2"
+    v = embedding_decision(Ellipsoid(F(1), F(3)), Ellipsoid(F(3, 2), F(2)), exact=True)
+    assert v.holds and str(v) == "holds for all t"
+    # equal volumes: c_1(E(2, 2)) = 2 > c_1(E(1, 4)) = 1, the reverse holds
+    assert embedding_decision(Ellipsoid(F(2), F(2)), Ellipsoid(F(1), F(4)), exact=True).fails_at == 1
+    assert embedding_decision(Ellipsoid(F(1), F(4)), Ellipsoid(F(2), F(2)), exact=True).holds
+    # a truncated verdict certifies every level up to t_max, fractional ones too
+    v = ehrhart_dominates(RightTriangle(F(1), F(1)), RightTriangle(F(2), F(1, 5)), 1)
+    assert not v.holds and v.fails_at == F(1, 2) and v.checked_through == 1
 
 
 def test_embedding_decision_examples():
@@ -183,10 +189,11 @@ def test_embedding_decision_examples():
     assert embedding_decision(source, Ellipsoid(F(3), F(4)), 2000).holds
 
     # volume obstruction: E(1,5) cannot fit into E(3/2, 2)
+    # c_4 is 4 against 7/2, so the counts first break at the level 7/2
     v = embedding_decision(Ellipsoid(F(1), F(5)), Ellipsoid(F(3, 2), F(2)), 2000)
-    assert not v.holds and v.fails_at == 4
+    assert not v.holds and v.fails_at == F(7, 2)
     v = embedding_decision(Ellipsoid(F(1), F(5)), Ellipsoid(F(3, 2), F(2)), exact=True)
-    assert not v.holds and v.fails_at == 4
+    assert not v.holds and v.fails_at == F(7, 2)
 
 
 def test_boundary_lattice_count():

@@ -1,12 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ech_staircase.core import accumulation_point
-from ech_staircase.surd import QuadraticSurd, _square_split
+from ech_staircase.surd import MAX_RADICAND, QuadraticSurd, _square_split
 
 
 def test_normalization_reduces_and_extracts_squares():
@@ -51,6 +52,15 @@ def test_accumulation_point_with_large_prime_k():
     a0 = data.a0
     assert not a0.is_rational
     assert a0 * a0 - (data.per**2 / data.vol - 2) * a0 + 1 == 0
+
+
+def test_radicand_past_the_limit_fails_fast():
+    # a radicand near 4 * 10**26: without the limit, trial division ran past 30 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="radicand"):
+        accumulation_point(10**13 + 37, 2)
+    assert time.perf_counter() - start < 5
+    assert _square_split(MAX_RADICAND) == (2**32, 1)
 
 
 def test_rational_roundtrip():
