@@ -169,7 +169,7 @@ def _cmd_report43(ns: argparse.Namespace) -> int:
 
 
 def _cmd_theorem_report(ns: argparse.Namespace) -> int:
-    rep = theorem_report(ns.k, ns.l, t_max=ns.t_max, n_cap=ns.n_cap, grid_step=ns.grid_step)
+    rep = theorem_report(ns.k, ns.l, n_cap=ns.n_cap, grid_step=ns.grid_step)
     if ns.format == "text":
         lines = [
             f"(k, l) = ({rep.k}, {rep.l}), b = {rep.b}, category = {rep.category}",
@@ -258,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem-report", help="per-(k, l) verification report")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--t-max", type=int, default=300)
     p.add_argument("--n-cap", type=int, default=2000)
     p.add_argument("--grid-step", type=parse_rational, default=Fraction(1, 60))
     common(p, _cmd_theorem_report)

@@ -435,33 +435,20 @@ def verify_slice_inequality(a, t: int) -> SliceInequalityReport:
     return SliceInequalityReport(t, a, tuple(rows), vacuous=not rows)
 
 
-@dataclass(frozen=True)
-class DiffIdentityReport:
-    """Scan of count(T(1/2,1/6), t) - count(T(1/3,1/4), t) against the boundary count.
+def verify_diff_identity() -> tuple[tuple[int, int, int], ...]:
+    """Prove that count(T(1/2,1/6), t) - count(T(1/3,1/4), t) equals
+    boundary_lattice_count(t), less one exactly when t = 4 mod 12, for every
+    t >= 1; returns the violations (t, observed, expected), empty when proved.
 
-    min_difference records the smallest observed difference and where it
-    occurs; the scan records margins rather than asserting strictness.
+    Both counts are Ehrhart quasi-polynomials of period dividing 12 with the
+    same leading term t^2/24, so on each class t = r + 12j (1 <= r <= 12,
+    j >= 0) their difference is linear in j, and so is the expected side.
+    Two lines agreeing at j = 0 and j = 1 agree everywhere: t = 1..24 decide.
     """
-
-    t_max: int
-    violations: tuple[tuple[int, int, int], ...]  # (t, observed, expected)
-    min_difference: tuple[int, int]  # (t, difference)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_diff_identity(t_max: int) -> DiffIdentityReport:
-    """Check that the two reference counts differ by boundary_lattice_count(t),
-    less one exactly when t = 4 mod 12, for t = 1..t_max."""
-    if t_max < 12:
-        raise ValueError("t_max must be at least 12")
-    violations, diffs = [], []
-    for t in range(1, t_max + 1):
+    violations = []
+    for t in range(1, 25):
         observed = triangle_count(TRIANGLE_HALF_SIXTH, t) - triangle_count(TRIANGLE_THIRD_QUARTER, t)
         expected = boundary_lattice_count(t) - (1 if t % 12 == 4 else 0)
         if observed != expected:
             violations.append((t, observed, expected))
-        diffs.append((t, observed))
-    return DiffIdentityReport(t_max, tuple(violations), min(diffs, key=lambda p: p[1]))
+    return tuple(violations)

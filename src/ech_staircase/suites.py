@@ -168,14 +168,14 @@ def ehrhart_table_checks() -> list[NamedCheck]:
     ]
 
 
-def diff_identity_checks(t_max: int = 1000) -> list[NamedCheck]:
-    rep = verify_diff_identity(t_max)
+def diff_identity_checks() -> list[NamedCheck]:
+    violations = verify_diff_identity()
     return [
         _check(
             "count-difference-identity",
-            f"difference equals the boundary count (less 1 when t = 4 mod 12), t <= {t_max}",
-            rep.ok,
-            "identity exact" if rep.ok else f"violations {rep.violations[:3]}",
+            "difference equals the boundary count (less 1 when t = 4 mod 12), every t >= 1",
+            not violations,
+            "identity exact" if not violations else f"violations {violations[:3]}",
         )
     ]
 
@@ -258,7 +258,7 @@ SUITES = {
     "weights": lambda o: weight_identity_checks(),
     "capacities": lambda o: capacity_oracle_checks(k_max=min(o["n_cap"], 300), seed=o["seed"]),
     "ehrhart-tables": lambda o: ehrhart_table_checks(),
-    "diff-identity": lambda o: diff_identity_checks(max(o["t_max"], 12)),
+    "diff-identity": lambda o: diff_identity_checks(),
     "slices": lambda o: slice_checks(samples=o["samples"], t_max=o["t_max"], seed=o["seed"]),
     "lemmas": lambda o: lemma_checks(),
     "case-43": lambda o: case43_checks(t_max=o["t_max"]),

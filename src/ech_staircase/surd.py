@@ -9,16 +9,19 @@ point appears only in the optional __float__ convenience.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import lru_cache
+from math import floor, gcd, isqrt
 
-from .render import decimal_str, floor_log10, place_decimal
+from .render import decimal_str
 
-_FLOOR_BIT_CAP = 1 << 14  # refinement bound for floor/log searches; plenty for quadratics
+_FLOOR_BIT_CAP = 1 << 14  # refinement bound for floor/decimal rounding; plenty for quadratics
 # Largest radicand split: a prime near it takes 1.2 s (CPython 3.11, one Xeon core);
 # accumulation_point(k, l) stays below 2**35 for k <= 10**5, below 2**61 for k = 10**9 + 7.
 MAX_RADICAND = 2**64
 
 
+# arithmetic results re-normalise an operand's radicand, so recent splits are kept
+@lru_cache(maxsize=64)
 def _square_split(n: int) -> tuple[int, int]:
     """Write n >= 0 as f*f*d with d squarefree; returns (f, d), and (1, 0) for n = 0.
 
@@ -236,16 +239,24 @@ class QuadraticSurd:
             lo_s, hi_s = hi_s, lo_s
         return (self.p + self.q * lo_s) / self.r, (self.p + self.q * hi_s) / self.r
 
-    def __floor__(self) -> int:
-        if self.is_rational:
-            return self.p // self.r
-        bits = 32
+    def _resolve(self, round_):
+        """round_(value), refining the enclosure until round_ agrees on both ends.
+
+        round_ must be monotone with rational jump points.  A rational value has
+        a zero-width bracket, and an irrational one sits on no jump point, so
+        the loop ends with the exact answer.
+        """
+        bits = 64
         while bits <= _FLOOR_BIT_CAP:
             lo, hi = self.enclosure(bits)
-            if lo.__floor__() == hi.__floor__():
-                return lo.__floor__()
+            out = round_(lo)
+            if out == round_(hi):
+                return out
             bits *= 2
-        raise ArithmeticError("floor did not resolve; value suspiciously near an integer")
+        raise ArithmeticError("rounding did not resolve; value suspiciously near a boundary")
+
+    def __floor__(self) -> int:
+        return self._resolve(floor)
 
     def __float__(self) -> float:
         lo, hi = self.enclosure(64)
@@ -253,28 +264,7 @@ class QuadraticSurd:
 
     def decimal(self, digits: int = 12) -> str:
         """Exact half-up rounding to `digits` significant digits."""
-        if self.is_rational:
-            return decimal_str(self.as_fraction(), digits)
-        sign = self._sign()
-        mag = abs(self)
-        bits = 32
-        while True:
-            lo, hi = mag.enclosure(bits)
-            if lo > 0 and floor_log10(lo) == floor_log10(hi):
-                e = floor_log10(lo)
-                break
-            bits *= 2
-            if bits > _FLOOR_BIT_CAP:
-                raise ArithmeticError("magnitude did not resolve")
-        scaled = mag * Fraction(10) ** (digits - 1 - e)
-        m = scaled.__floor__()
-        # the value is irrational here, so it is never exactly halfway
-        if (scaled - m)._cmp(Fraction(1, 2)) > 0:
-            m += 1
-        if m >= 10**digits:
-            m //= 10
-            e += 1
-        return ("-" if sign < 0 else "") + place_decimal(str(m), e)
+        return self._resolve(lambda x: decimal_str(x, digits))
 
     def __str__(self) -> str:
         if self.is_rational:

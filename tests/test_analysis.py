@@ -160,33 +160,44 @@ def test_verify_43_case_spot_values():
         verify_43_case(50, [F(5)])
 
 
+def test_four_thirds_case_exact_on_the_report_grid():
+    rep = verify_43_case(None, grid_43(F(1, 4)))
+    assert rep.t_max is None and len(rep.rows) == 9
+    for row in rep.rows:
+        assert row.ok and row.upper.checked_through is None, row.a
+        assert str(row.upper) == "holds for all t"
+    rep = theorem_report(4, 3, n_cap=40, grid_step=F(1, 4))
+    (check,) = [c for c in rep.checks if c.name == "four-thirds-case"]
+    assert check.verdict == "pass" and check.witness == "9 grid points, every level t"
+
+
 def test_grid_43():
     grid = grid_43(F(1, 2))
     assert grid[0] == 2 and grid[-1] == 4 and len(grid) == 5
 
 
 def test_theorem_report_categories():
-    rep = theorem_report(1, 1, t_max=40, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(1, 1, n_cap=40, grid_step=F(1, 4))
     assert rep.category == "staircase" and rep.special and rep.ok
     assert rep.a0 == QuadraticSurd(7, 3, 5, 2)
 
-    rep = theorem_report(4, 3, t_max=40, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(4, 3, n_cap=40, grid_step=F(1, 4))
     assert rep.category == "four-thirds" and rep.special and rep.ok
 
-    rep = theorem_report(5, 1, t_max=40, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(5, 1, n_cap=40, grid_step=F(1, 4))
     assert rep.category == "general" and rep.lemma == "integral" and rep.ok
     assert {bl.index for bl in rep.governing} == {1, 2, 3, 6, 7}
 
-    rep = theorem_report(5, 2, t_max=40, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(5, 2, n_cap=40, grid_step=F(1, 4))
     assert rep.lemma == "exceptional" and rep.ok
 
-    rep = theorem_report(7, 2, t_max=40, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(7, 2, n_cap=40, grid_step=F(1, 4))
     assert rep.lemma == "nicebound" and rep.ok
 
 
 def test_theorem_report_rational_accumulation_point():
     # (8, 5) has a0 = 5/2, exactly the tangency of bullets 3 and 4
-    rep = theorem_report(8, 5, t_max=40, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(8, 5, n_cap=40, grid_step=F(1, 4))
     assert rep.a0 == F(5, 2)
     assert rep.ok
     touch = [c for c in rep.checks if c.name == "volume-touch-classification"]
@@ -198,7 +209,7 @@ def test_theorem_report_sweep():
         for l in range(1, k + 1):
             if gcd(k, l) != 1:
                 continue
-            rep = theorem_report(k, l, t_max=24, n_cap=24, grid_step=F(1, 3))
+            rep = theorem_report(k, l, n_cap=24, grid_step=F(1, 3))
             assert rep.ok, (k, l)
 
 

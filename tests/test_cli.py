@@ -57,6 +57,9 @@ def test_accumulation_usage_error(capsys):
     code, _, err = run_cli(capsys, "accumulation", "--k", str(10**13 + 37), "--l", "2")
     assert code == 2
     assert "radicand" in err
+    code, out, err = run_cli(capsys, "accumulation", "--k", "1", "--l", "1", "--precision", "0")
+    assert code == 2 and out == ""
+    assert "significant digit" in err
 
 
 def test_malformed_rational_is_usage_error(capsys):
@@ -140,7 +143,7 @@ def test_report_43_quick(capsys):
 
 def test_theorem_report_json(capsys):
     code, out, _ = run_cli(
-        capsys, "theorem-report", "--k", "5", "--l", "1", "--t-max", "30",
+        capsys, "theorem-report", "--k", "5", "--l", "1",
         "--n-cap", "30", "--grid-step", "1/2", "--format", "json",
     )
     assert code == 0
@@ -149,6 +152,12 @@ def test_theorem_report_json(capsys):
     assert payload["lemma"] == "integral"
     assert all(c["verdict"] in ("pass", "info") for c in payload["checks"])
     assert payload["grid"]
+
+
+def test_theorem_report_has_no_truncation_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem-report", "--t-max", "5", "--k", "4", "--l", "3"])
+    assert exc.value.code == 2
 
 
 def test_output_file(tmp_path, capsys):

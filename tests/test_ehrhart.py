@@ -347,18 +347,18 @@ def test_slice_sums_tie_out_to_wedge_tallies():
                 assert rc.lower - matched >= 1, (m, t)
 
 
-def test_diff_identity_report():
-    rep = verify_diff_identity(144)
-    assert rep.ok
-    # the domination margin at the boundary parameter value never dips below 0
-    assert rep.min_difference[1] >= 0
+def test_diff_identity_report(monkeypatch):
+    assert verify_diff_identity() == ()
     # spot values behind the identity
     assert triangle_count(TRIANGLE_HALF_SIXTH, 4) - triangle_count(TRIANGLE_THIRD_QUARTER, 4) == 0
     assert boundary_lattice_count(4) - 1 == 0
     assert triangle_count(TRIANGLE_HALF_SIXTH, 6) - triangle_count(TRIANGLE_THIRD_QUARTER, 6) == 1
     assert boundary_lattice_count(6) == 1
-    with pytest.raises(ValueError):
-        verify_diff_identity(6)
+    # a wrong expected side is reported, not passed
+    from ech_staircase import ehrhart
+
+    monkeypatch.setattr(ehrhart, "boundary_lattice_count", lambda t: boundary_lattice_count(t) + (t == 20))
+    assert verify_diff_identity() == ((20, 2, 3),)
 
 
 def _capacity_counts_leq(prefix, t):

@@ -63,6 +63,20 @@ def test_radicand_past_the_limit_fails_fast():
     assert _square_split(MAX_RADICAND) == (2**32, 1)
 
 
+def test_arithmetic_does_not_resplit_known_radicands():
+    x = QuadraticSurd(7, 3, 5, 2)
+    misses = _square_split.cache_info().misses
+    for y in (x * x + 1, x - 3, x / F(2, 3), -x, (x + x) * x):
+        assert y.d == 5
+    assert _square_split.cache_info().misses == misses
+    # a radicand reduced by a square factor is split once more, on first use
+    a0 = accumulation_point(10**9 + 7, 2).a0
+    misses = _square_split.cache_info().misses
+    for _ in range(5):
+        a0 = a0 * a0 + 1
+    assert _square_split.cache_info().misses <= misses + 1
+
+
 def test_rational_roundtrip():
     assert QuadraticSurd.from_rational(F(22, 7)).as_fraction() == F(22, 7)
     assert QuadraticSurd.sqrt_of(F(9, 4)).as_fraction() == F(3, 2)
