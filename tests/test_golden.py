@@ -24,6 +24,9 @@ COMMANDS = {
     "theorem-4-3-csv": "theorem-report --k 4 --l 3 --n-cap 30 --grid-step 1/2 --format csv",
     "theorem-5-2-json": "theorem-report --k 5 --l 2 --n-cap 30 --grid-step 1/2 --format json",
     "theorem-7-3-json": "theorem-report --k 7 --l 3 --n-cap 30 --grid-step 1/2 --format json",
+    # full size: default --n-cap 2000, so every capacity column is pinned at its real depth
+    "theorem-7-3-full-json": "theorem-report --k 7 --l 3 --format json",
+    "scan-1-full": "scan --b 1 --a-lo 1 --a-hi 8 --step 1/10",
 }
 
 
