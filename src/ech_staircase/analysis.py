@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .capacities import capacity_lower_bound
 from .core import Ellipsoid, accumulation_point
@@ -49,9 +50,11 @@ class BulletBound:
         return self.c * self.c * self.b if self.kind == "const" else self.c * self.c / self.b
 
 
-def _bullet_table(b: Fraction) -> list[BulletBound]:
+@lru_cache(maxsize=16)
+def _bullet_table(b: Fraction) -> tuple[BulletBound, ...]:
     """Every bullet bound for eccentricity b >= 1, inverted domains included;
-    the two extra bullets exist only for integer b."""
+    the two extra bullets exist only for integer b.  Cached, since a grid scan
+    asks for one b at every row."""
     b = Fraction(b)
     if b < 1:
         raise ValueError("eccentricity must be at least 1")
@@ -71,7 +74,7 @@ def _bullet_table(b: Fraction) -> list[BulletBound]:
             (7, Fraction(n + 3), b * Fraction(n + 3) ** 2 / (n + 1) ** 2, "const",
              Fraction(n + 3, n + 1), n + 3),
         ]
-    return [BulletBound(i, b, lo, hi, kind, c, w) for (i, lo, hi, kind, c, w) in raw]
+    return tuple(BulletBound(i, b, lo, hi, kind, c, w) for (i, lo, hi, kind, c, w) in raw)
 
 
 def bullets_for(b: Fraction) -> list[BulletBound]:

@@ -1,17 +1,18 @@
 """ECH capacity sequences of ellipsoids and the sup-ratio embedding lower bound.
 
 c_k(E(a, b)) is the (k+1)-st smallest element of the multiset
-{m*a + n*b : m, n >= 0}, ties counted with multiplicity.  Generation is an
-incremental min-frontier over the lattice, run in scaled integers.
+{m*a + n*b : m, n >= 0}, ties counted with multiplicity.  Generation runs in
+integers scaled by the common denominator of a and b: every lattice value up
+to a cutoff is listed and sorted once.  Ratios are compared by
+cross-multiplication, so a Fraction is built only for the results.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 
 from .core import Ellipsoid
 
@@ -19,42 +20,48 @@ from .core import Ellipsoid
 class CapacitySequence:
     """Lazily extendable nondecreasing sequence c_0 <= c_1 <= ... of an ellipsoid.
 
-    Internally stateful (a heap frontier); not for concurrent writers.  Use a
-    fresh instance per worker, or the pure helpers below.
+    `scaled` holds the materialized values times `scale`, as ints.  Internally
+    stateful; not for concurrent writers.  Use a fresh instance per worker, or
+    the pure helpers below.
     """
 
     def __init__(self, ellipsoid: Ellipsoid):
         self.ellipsoid = ellipsoid
-        scale = lcm(ellipsoid.a.denominator, ellipsoid.b.denominator)
-        self._scale = scale
-        self._a = int(ellipsoid.a * scale)
-        self._b = int(ellipsoid.b * scale)
-        self._values: list[Fraction] = []
-        # frontier entries: (scaled value, m, n); (m, n+1) is pushed on every
-        # pop and (m+1, n) only from n == 0, so each lattice point enters once
-        self._frontier: list[tuple[int, int, int]] = [(0, 0, 0)]
+        self.scale = lcm(ellipsoid.a.denominator, ellipsoid.b.denominator)
+        self._a = int(ellipsoid.a * self.scale)
+        self._b = int(ellipsoid.b * self.scale)
+        self.scaled: list[int] = []
 
     def extend_to(self, count: int) -> "CapacitySequence":
         """Ensure at least `count` values are materialized."""
-        values, frontier = self._values, self._frontier
-        a, b, scale = self._a, self._b, self._scale
-        while len(values) < count:
-            v, m, n = heapq.heappop(frontier)
-            values.append(Fraction(v, scale))
-            if n == 0:
-                heapq.heappush(frontier, (v + a, m + 1, 0))
-            heapq.heappush(frontier, (v + b, m, n + 1))
+        have = len(self.scaled)
+        if have >= count:
+            return self
+        count = max(count, 2 * have)  # amortizes c_0, c_1, ... read one by one
+        a, b = self._a, self._b
+        # Every value <= cap is listed, so the sorted list is a prefix of the
+        # sequence.  It has at least `count` entries: the triangle
+        # m*a + n*b <= cap has area cap**2 / (2ab) > count and lies in the unit
+        # squares of its lattice points; and the row n = 0 alone reaches
+        # (count - 1)*a, which keeps E(1, 10**12) to `count` values.
+        cap = min(isqrt(2 * count * a * b) + 1, (count - 1) * a)
+        values: list[int] = []
+        for nb in range(0, cap + 1, b):
+            values.extend(range(nb, cap + 1, a))
+        values.sort()
+        self.scaled = values
         return self
 
     def __getitem__(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError("capacity index must be nonnegative")
         self.extend_to(k + 1)
-        return self._values[k]
+        return Fraction(self.scaled[k], self.scale)
 
     def prefix(self, count: int) -> list[Fraction]:
         self.extend_to(count)
-        return self._values[:count]
+        scale = self.scale
+        return [Fraction(v, scale) for v in self.scaled[:count]]
 
 
 def capacity(ellipsoid: Ellipsoid, k: int) -> Fraction:
@@ -72,18 +79,27 @@ def capacity_prefix(ellipsoid: Ellipsoid, count: int) -> list[Fraction]:
 
 
 def max_capacity_ratio(
-    source_prefix: Sequence[Fraction], target_prefix: Sequence[Fraction]
+    source_prefix: Sequence[Fraction | int], target_prefix: Sequence[Fraction | int]
 ) -> Fraction:
-    """max over k >= 1 of source[k] / target[k], over the common prefix length."""
+    """max over k >= 1 of source[k] / target[k], over the common prefix length.
+
+    The argmax is found by cross-multiplying, so scaled-int prefixes build a
+    Fraction only for the result; the targets must be positive for k >= 1.
+    """
     n = min(len(source_prefix), len(target_prefix))
     if n < 2:
         raise ValueError("prefixes must cover k = 1")
-    return max(source_prefix[k] / target_prefix[k] for k in range(1, n))
+    s_best, t_best = source_prefix[1], target_prefix[1]
+    for s, t in zip(source_prefix[2:n], target_prefix[2:n]):
+        if s * t_best > s_best * t:
+            s_best, t_best = s, t
+    return Fraction(s_best) / Fraction(t_best)
 
 
 @lru_cache(maxsize=4)
-def _target_prefix(b: Fraction, count: int) -> tuple[Fraction, ...]:
-    return tuple(capacity_prefix(Ellipsoid(Fraction(1), b), count))
+def _target_prefix(b: Fraction, count: int) -> tuple[int, ...]:
+    """c_0, ..., c_{count-1} of E(1, b), scaled by b.denominator."""
+    return tuple(CapacitySequence(Ellipsoid(Fraction(1), b)).extend_to(count).scaled[:count])
 
 
 def capacity_lower_bound(a: Fraction, b: Fraction, n: int) -> Fraction:
@@ -99,5 +115,6 @@ def capacity_lower_bound(a: Fraction, b: Fraction, n: int) -> Fraction:
         raise ValueError("parameters must be at least 1")
     if n < 1:
         raise ValueError("need n >= 1")
-    src = capacity_prefix(Ellipsoid(Fraction(1), a), n + 1)
-    return max_capacity_ratio(src, _target_prefix(b, n + 1))
+    src = CapacitySequence(Ellipsoid(Fraction(1), a)).extend_to(n + 1)
+    ratio = max_capacity_ratio(src.scaled[: n + 1], _target_prefix(b, n + 1))
+    return ratio * Fraction(b.denominator, src.scale)

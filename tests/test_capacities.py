@@ -8,6 +8,7 @@ from ech_staircase.capacities import (
     capacity,
     capacity_lower_bound,
     capacity_prefix,
+    max_capacity_ratio,
 )
 from ech_staircase.core import Ellipsoid
 from ech_staircase.suites import brute_capacities
@@ -90,3 +91,40 @@ def test_sequence_is_lazy_and_reusable():
     assert seq[0] == 0
     assert seq[4] == seq.prefix(5)[-1]
     assert len(seq.prefix(3)) == 3
+
+
+def test_sequence_read_one_by_one_matches_oracle():
+    e = Ellipsoid(F(1, 3), F(5, 7))
+    seq = CapacitySequence(e)
+    assert [seq[k] for k in range(300)] == brute_capacities(e, 300)
+
+
+rationals_at_least_1 = st.builds(
+    lambda q, extra: F(q + extra, q), st.integers(1, 12), st.integers(0, 40)
+)
+
+
+@given(a=rationals_at_least_1, b=rationals_at_least_1, n=st.integers(1, 300))
+@settings(max_examples=30, deadline=None)
+def test_lower_bound_matches_sorted_sum_set(a, b, n):
+    # a <= b and a > b are both drawn; the oracle shares no code with the kernel
+    src = brute_capacities(Ellipsoid(F(1), a), n + 1)
+    tgt = brute_capacities(Ellipsoid(F(1), b), n + 1)
+    assert capacity_lower_bound(a, b, n) == max(src[k] / tgt[k] for k in range(1, n + 1))
+
+
+def test_ratio_same_on_fraction_and_scaled_int_prefixes():
+    for a, b in [(F(7, 2), F(4, 3)), (F(13, 5), F(9, 7)), (F(1), F(11, 3)), (F(5), F(5))]:
+        src, tgt = CapacitySequence(Ellipsoid(F(1), a)), CapacitySequence(Ellipsoid(F(1), b))
+        fractions = max_capacity_ratio(src.prefix(401), tgt.prefix(401))
+        ints = max_capacity_ratio(src.scaled[:401], tgt.scaled[:401])
+        assert fractions == ints * F(tgt.scale, src.scale)
+        assert fractions == max(s / t for s, t in zip(src.prefix(401)[1:], tgt.prefix(401)[1:]))
+
+
+@pytest.mark.parametrize("e", [Ellipsoid(F(1), F(10**12)), Ellipsoid(F(1, 10**6), F(1))])
+def test_extreme_eccentricity_lists_bounded_work(e):
+    # work is counted, not timed: the sorted list is all that is materialized
+    seq = CapacitySequence(e).extend_to(3000)
+    assert 3000 <= len(seq.scaled) <= 2 * 3000
+    assert seq.prefix(50) == brute_capacities(e, 50)
