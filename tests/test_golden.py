@@ -14,6 +14,9 @@ COMMANDS = {
     "capacities-csv": "capacities --ellipsoid 1 4/3 --count 11 --format csv",
     "accumulation-text": "accumulation --k 1 --l 1",
     "accumulation-json": "accumulation --k 1 --l 1 --format json",
+    # radicands with a square factor (8 = 4*2 and a 10**18-size one), rounded to many digits
+    "accumulation-2-1-p60-json": "accumulation --k 2 --l 1 --precision 60 --format json",
+    "accumulation-large-k-p40": "accumulation --k 1000000007 --l 2 --precision 40",
     "ehrhart-counts": "ehrhart --triangle 1/2 1/6 --t-max 12",
     "ehrhart-fit-json": "ehrhart --triangle 1/3 1/4 --fit --format json",
     "scan-43": "scan --b 4/3 --a-lo 2 --a-hi 4 --step 1/20 --n-cap 200",
