@@ -185,30 +185,29 @@ def _discriminant_claim_holds(k: int, l: int) -> bool:
     return 400 * ((k + l + 1) ** 2 - 4 * k * l) <= (20 * k - 5 * l - 8) ** 2
 
 
+def _sweep(hypothesis: str, pairs, holds) -> ClaimSweep:
+    """Count the (k, l) pairs checked and keep the first one where holds(k, l) fails."""
+    checked, first = 0, None
+    for k, l in pairs:
+        checked += 1
+        if first is None and not holds(k, l):
+            first = (k, l)
+    return ClaimSweep(hypothesis, checked, first)
+
+
 def verify_claim_steps(range_k: int, range_l: int) -> ClaimsReport:
     """Exhaustive exact check of the two discriminant claims and the l = 2
     quadratic step over their hypothesis regions intersected with the bounds."""
-    checked1, first1 = 0, None
-    for l in range(7, range_l + 1):
-        for k in range(l + 1, range_k + 1):
-            checked1 += 1
-            if first1 is None and not _discriminant_claim_holds(k, l):
-                first1 = (k, l)
-    checked2, first2 = 0, None
-    for l in range(3, range_l + 1):
-        for k in range(l + 6, range_k + 1):
-            checked2 += 1
-            if first2 is None and not _discriminant_claim_holds(k, l):
-                first2 = (k, l)
-    checked3, first3 = 0, None
-    for k in range(6, range_k + 1):
-        checked3 += 1
-        if first3 is None and not (16 * (k * k - 2 * k + 9) < (4 * k - 1) ** 2):
-            first3 = (k, 2)
     return ClaimsReport(
-        ClaimSweep("l >= 7, k >= l+1", checked1, first1),
-        ClaimSweep("l >= 3, k >= l+6", checked2, first2),
-        ClaimSweep("l = 2, k >= 6: k^2-2k+9 < (k-1/4)^2", checked3, first3),
+        _sweep("l >= 7, k >= l+1",
+               ((k, l) for l in range(7, range_l + 1) for k in range(l + 1, range_k + 1)),
+               _discriminant_claim_holds),
+        _sweep("l >= 3, k >= l+6",
+               ((k, l) for l in range(3, range_l + 1) for k in range(l + 6, range_k + 1)),
+               _discriminant_claim_holds),
+        _sweep("l = 2, k >= 6: k^2-2k+9 < (k-1/4)^2",
+               ((k, 2) for k in range(6, range_k + 1)),
+               lambda k, l: 16 * (k * k - 2 * k + 9) < (4 * k - 1) ** 2),
     )
 
 

@@ -1,20 +1,9 @@
-"""Decimal rendering of exact rational values at a chosen number of significant digits."""
+"""Decimal rendering of exact real values at a chosen number of significant digits."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-
-
-def floor_log10(x: Fraction) -> int:
-    """Largest e with 10**e <= x, for x > 0."""
-    if x <= 0:
-        raise ValueError("floor_log10 needs a positive value")
-    e = len(str(x.numerator)) - len(str(x.denominator))
-    while Fraction(10) ** (e + 1) <= x:
-        e += 1
-    while Fraction(10) ** e > x:
-        e -= 1
-    return e
 
 
 def place_decimal(digits: str, e: int) -> str:
@@ -37,19 +26,31 @@ def place_decimal(digits: str, e: int) -> str:
     return f"{mant}e{e}"
 
 
-def decimal_str(x: Fraction | int, digits: int = 12) -> str:
-    """Round x half-up to `digits` significant digits, rendered positionally."""
-    x = Fraction(x)
+def round_significant(sign: int, floor_abs: Callable[[int, int], int], digits: int) -> str:
+    """Round a real v half-up to `digits` significant digits, rendered positionally.
+
+    `sign` is the sign of v and floor_abs(num, den) the exact floor of
+    |v|*num/den for positive ints num and den; no other access to v is needed.
+    """
     if digits < 1:
         raise ValueError("need at least one significant digit")
-    if x == 0:
+    if sign == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    y = -x if x < 0 else x
-    e = floor_log10(y)
-    scaled = y * Fraction(10) ** (digits - 1 - e)
-    m = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    k = 0
+    while (f := floor_abs(10**k, 1)) == 0:
+        k = 2 * k + 1
+    # 10**(n-1) <= f <= |v|*10**k < f + 1 <= 10**n for the n digits of f
+    e = len(str(f)) - 1 - k
+    j = digits - 1 - e
+    m = (floor_abs(2 * 10 ** max(j, 0), 10 ** max(-j, 0)) + 1) // 2
     if m >= 10**digits:
         m //= 10
         e += 1
-    return sign + place_decimal(str(m), e)
+    return ("-" if sign < 0 else "") + place_decimal(str(m), e)
+
+
+def decimal_str(x: Fraction | int, digits: int = 12) -> str:
+    """Round x half-up to `digits` significant digits, rendered positionally."""
+    x = Fraction(x)
+    n, m = abs(x.numerator), x.denominator
+    return round_significant((x > 0) - (x < 0), lambda num, den: n * num // (m * den), digits)

@@ -2,19 +2,18 @@
 
 Accumulation points of embedding functions are quadratic irrationals, and
 several bound lemmas need their exact position relative to rational
-thresholds.  Everything here decides signs by integer arithmetic; floating
-point appears only in the optional __float__ convenience.
+thresholds.  Everything here decides signs and floors by integer arithmetic
+(a floor takes one isqrt); floating point appears only in __float__.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, isqrt
+from math import gcd, isqrt
 
-from .render import decimal_str
+from .render import round_significant
 
-_FLOOR_BIT_CAP = 1 << 14  # refinement bound for floor/decimal rounding; plenty for quadratics
 # Largest radicand split: a prime near it takes 1.2 s (CPython 3.11, one Xeon core);
 # accumulation_point(k, l) stays below 2**35 for k <= 10**5, below 2**61 for k = 10**9 + 7.
 MAX_RADICAND = 2**64
@@ -225,46 +224,39 @@ class QuadraticSurd:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    # -- enclosures and rendering --------------------------------------------
+    # -- rounding and rendering ---------------------------------------------
 
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Rational bracket [lo, hi] with sqrt(d) resolved to 2**-bits."""
-        if self.is_rational:
-            v = Fraction(self.p, self.r)
-            return v, v
-        s = isqrt(self.d << (2 * bits))
-        lo_s = Fraction(s, 1 << bits)
-        hi_s = Fraction(s + 1, 1 << bits)
-        if self.q < 0:
-            lo_s, hi_s = hi_s, lo_s
-        return (self.p + self.q * lo_s) / self.r, (self.p + self.q * hi_s) / self.r
+    def _floor_scaled(self, num: int, den: int) -> int:
+        """floor(self * num / den) for positive ints num and den, by one isqrt.
 
-    def _resolve(self, round_):
-        """round_(value), refining the enclosure until round_ agrees on both ends.
-
-        round_ must be monotone with rational jump points.  A rational value has
-        a zero-width bracket, and an irrational one sits on no jump point, so
-        the loop ends with the exact answer.
+        With c = q*num the value is (p*num + c*sqrt(d)) / (r*den), and
+        floor(c*sqrt(d)) may stand in for c*sqrt(d).  d is squarefree, so
+        c*sqrt(d) is never an integer when c != 0.
         """
-        bits = 64
-        while bits <= _FLOOR_BIT_CAP:
-            lo, hi = self.enclosure(bits)
-            out = round_(lo)
-            if out == round_(hi):
-                return out
-            bits *= 2
-        raise ArithmeticError("rounding did not resolve; value suspiciously near a boundary")
+        c = self.q * num
+        root = isqrt(c * c * self.d)
+        if c < 0:
+            root = -root - 1
+        return (self.p * num + root) // (self.r * den)
 
     def __floor__(self) -> int:
-        return self._resolve(floor)
+        return self._floor_scaled(1, 1)
 
     def __float__(self) -> float:
-        lo, hi = self.enclosure(64)
-        return float((lo + hi) / 2)
+        """The double nearest the value."""
+        if self.is_rational:
+            return self.p / self.r
+        # |value| > 2**-s for s the bit lengths of p, q, d and r summed, since
+        # |p*p - q*q*d| >= 1 bounds the cancellation.  Doubles there round at
+        # multiples of 2**-(s + 53), so the value and the midpoint of its cell
+        # (f, f + 1) / 2**k round alike, and int division rounds correctly.
+        k = 53 + sum(x.bit_length() for x in (self.p, self.q, self.d, self.r))
+        return (2 * self._floor_scaled(1 << k, 1) + 1) / (2 << k)
 
     def decimal(self, digits: int = 12) -> str:
         """Exact half-up rounding to `digits` significant digits."""
-        return self._resolve(lambda x: decimal_str(x, digits))
+        sign = self._sign()
+        return round_significant(sign, (-self if sign < 0 else self)._floor_scaled, digits)
 
     def __str__(self) -> str:
         if self.is_rational:

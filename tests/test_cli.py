@@ -60,6 +60,11 @@ def test_accumulation_usage_error(capsys):
     code, out, err = run_cli(capsys, "accumulation", "--k", "1", "--l", "1", "--precision", "0")
     assert code == 2 and out == ""
     assert "significant digit" in err
+    # the digit check comes before the zero shortcut: c_0 = 0 is the only value here
+    code, out, err = run_cli(capsys, "capacities", "--ellipsoid", "1", "4/3", "--count", "1",
+                             "--precision", "0", "--format", "csv")
+    assert code == 2 and out == ""
+    assert "significant digit" in err
 
 
 def test_malformed_rational_is_usage_error(capsys):

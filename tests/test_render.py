@@ -2,18 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from ech_staircase.render import decimal_str, floor_log10
+from ech_staircase.render import decimal_str
 from ech_staircase.surd import QuadraticSurd
-
-
-def test_floor_log10():
-    assert floor_log10(F(1)) == 0
-    assert floor_log10(F(999)) == 2
-    assert floor_log10(F(1000)) == 3
-    assert floor_log10(F(1, 10)) == -1
-    assert floor_log10(F(99, 1000)) == -2
-    with pytest.raises(ValueError):
-        floor_log10(F(0))
 
 
 def test_decimal_str_basic():

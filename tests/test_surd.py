@@ -1,12 +1,14 @@
 import math
 import random
 import time
+from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ech_staircase.core import accumulation_point
+from ech_staircase.render import decimal_str
 from ech_staircase.surd import MAX_RADICAND, QuadraticSurd, _square_split
 
 
@@ -90,7 +92,7 @@ def test_signs_and_comparisons():
     # sqrt(2) - 1 > 0, 1 - sqrt(2) < 0
     assert (sqrt2 - 1)._sign() == 1
     assert (1 - sqrt2)._sign() == -1
-    assert QuadraticSurd(7, -3, 5, 2) < 1  # (7 - 3 sqrt 5)/2 ~ 0.146 < 1? no: > 0
+    assert QuadraticSurd(7, -3, 5, 2) < 1  # (7 - 3 sqrt 5)/2 ~ 0.146, between 0 and 1
     assert QuadraticSurd(7, -3, 5, 2) > 0
 
 
@@ -130,14 +132,6 @@ def test_str_forms():
     assert str(QuadraticSurd.from_rational(F(4, 3))) == "4/3"
 
 
-def test_enclosure_brackets_value():
-    x = QuadraticSurd(5, 7, 11, 3)
-    lo, hi = x.enclosure(80)
-    assert lo <= hi and hi - lo < F(1, 2**70)
-    mid = (5 + 7 * math.sqrt(11)) / 3
-    assert float(lo) <= mid <= float(hi) or math.isclose(float(lo), mid)
-
-
 @given(
     p=st.integers(-50, 50),
     q=st.integers(-20, 20),
@@ -152,3 +146,48 @@ def test_comparison_matches_floats(p, q, d, r, num, den):
     approx = (p + q * math.sqrt(d)) / r
     if abs(approx - float(t)) > 1e-6:
         assert (x < t) == (approx < float(t))
+
+
+# Rounding oracle from the stdlib decimal module.  The cancellation in
+# p + q*sqrt(d) costs at most 13 digits for the ranges drawn (|p| + |q|*sqrt(d)
+# <= 2e6), so 40 guard digits leave about 27 correct ones past the last rounded.
+def _half_up(x: Decimal, digits: int) -> Decimal:
+    if x == 0:
+        return x
+    return x.quantize(Decimal(1).scaleb(x.adjusted() + 1 - digits), rounding=ROUND_HALF_UP)
+
+
+@given(
+    p=st.integers(-10**6, 10**6),
+    q=st.integers(-10**4, 10**4).filter(bool),
+    d=st.integers(2, 10**4),
+    r=st.integers(1, 10**6),
+    digits=st.integers(1, 40),
+)
+def test_surd_rounding_matches_decimal_module(p, q, d, r, digits):
+    assume(math.isqrt(d) ** 2 != d)
+    x = QuadraticSurd(p, q, d, r)
+    with localcontext() as ctx:
+        ctx.prec = digits + 40
+        value = (p + q * Decimal(d).sqrt()) / r
+        assert F(x.decimal(digits)) == F(_half_up(value, digits))
+        assert math.floor(x) == int(value.to_integral_value(rounding=ROUND_FLOOR))
+        assert float(x) == float(value)
+
+
+# exact ties, which random rationals seldom hit, must round away from zero
+@example(num=15, den=1000, digits=1)
+@example(num=25, den=10, digits=1)
+@example(num=-25, den=1000, digits=1)
+@example(num=125, den=1, digits=2)
+@example(num=-35, den=10**9, digits=1)
+@example(num=9995, den=1000, digits=3)
+@given(
+    num=st.integers(-10**12, 10**12),
+    den=st.integers(1, 10**12),
+    digits=st.integers(1, 40),
+)
+def test_decimal_str_matches_decimal_module(num, den, digits):
+    with localcontext() as ctx:
+        ctx.prec = digits + 40
+        assert F(decimal_str(F(num, den), digits)) == F(_half_up(Decimal(num) / den, digits))
