@@ -36,23 +36,22 @@ def brute_triangle_count(tri, t):
 
 
 def brute_wedges(a, t):
-    """Oracle: direct membership tests for the two wedges, rational a.
+    """Oracle: direct membership tests for the two wedges, rational a; returns
+    per-height tallies {y: count} of the upper and the lower wedge.
 
     Lower wedge closed; upper wedge drops parameter-edge points except the
     crossing, which both wedges count.
     """
-    upper = lower = 0
+    upper, lower = {}, {}
     for y in range(0, t // 6 + 1):
         slant = F(t, 4) + a * F(t - 12 * y, 12)
         ref = F(t - 6 * y, 2)
-        for x in range(0, max(int(slant), int(ref)) + 2):
-            at_crossing = F(x) == F(t, 4) and F(y) == F(t, 12)
-            if 12 * y >= t and slant <= x <= ref:
-                if x == slant and not at_crossing:
-                    continue
-                upper += 1
-            if 12 * y <= t and ref <= x <= slant:
-                lower += 1
+        xs = range(0, max(int(slant), int(ref)) + 2)
+        if 12 * y >= t:
+            # the only parameter-edge point kept is the crossing (t/4, t/12)
+            upper[y] = sum(1 for x in xs if slant <= x <= ref and (x != slant or 12 * y == t))
+        if 12 * y <= t:
+            lower[y] = sum(1 for x in xs if ref <= x <= slant)
     return upper, lower
 
 
@@ -203,13 +202,31 @@ def test_boundary_lattice_count():
     assert boundary_lattice_count(48) == 4
 
 
+WEDGE_PARAMS = [F(7, 2), F(10, 3), F(13, 4), F(4), F(301, 100), F(19, 5)]
+
+
 def test_region_counts_against_brute_oracle():
-    params = [F(7, 2), F(10, 3), F(13, 4), F(4), F(301, 100), F(19, 5)]
-    for a in params:
+    for a in WEDGE_PARAMS:
         for t in range(1, 61):
             rc = region_counts(a, t)
             upper, lower = brute_wedges(a, t)
-            assert (rc.upper, rc.lower) == (upper, lower), (a, t)
+            assert (rc.upper, rc.lower) == (sum(upper.values()), sum(lower.values())), (a, t)
+
+
+def test_slice_checks_against_brute_oracle():
+    # each pair holds the brute counts at its two heights, unless some upper
+    # height off the crossing has an integral parameter-edge bound >= 0
+    for a in WEDGE_PARAMS:
+        for t in range(1, 61):
+            upper, lower = brute_wedges(a, t)
+            bounds = [F(t, 4) + a * F(t - 12 * y, 12) for y in upper if 12 * y != t]
+            if any(x >= 0 and x.denominator == 1 for x in bounds):
+                with pytest.raises(ValueError):
+                    verify_slice_inequality(a, t)
+                continue
+            rows = verify_slice_inequality(a, t).slices
+            assert [(s.y0, s.y1) for s in rows] == [(y, t // 6 - y) for y in sorted(upper)], (a, t)
+            assert [(s.lhs, s.rhs) for s in rows] == [(upper[s.y0], lower[s.y1]) for s in rows], (a, t)
 
 
 def test_difference_identity_brute_force():
@@ -314,7 +331,7 @@ def test_slice_inequality_reports():
 
 def test_slice_inequality_rejects_integral_bound():
     # at a = 7/2, t = 48, the upper bound is the integer 5 at height 6
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="y0=6"):
         verify_slice_inequality(F(7, 2), 48)
 
 
@@ -332,19 +349,20 @@ def test_slice_inequality_randomized_irrationals():
 
 
 def test_slice_sums_tie_out_to_wedge_tallies():
-    # for irrational parameters the paired slice counts reproduce the upper
-    # tally exactly and cover the lower tally except unmatched heights; when
-    # t = 4 mod 12 exactly one nonempty lower slice goes unmatched
-    for m in (10, 11, 13):
-        a = AdaptiveScalar.sqrt(m)
+    # the paired slice counts reproduce the upper tally exactly and cover the
+    # lower tally except unmatched heights; when t = 4 mod 12 exactly one
+    # nonempty lower slice goes unmatched
+    params = [AdaptiveScalar.sqrt(m) for m in (10, 11, 13)]
+    params += [F(1801, 500), F(12055, 3607), F(7, 2), F(10, 3)]
+    for a in params:
         for t in (16, 28, 40, 52, 24, 30, 37):
             rep = verify_slice_inequality(a, t)
             rc = region_counts(a, t)
-            assert sum(s.lhs for s in rep.slices) == rc.upper, (m, t)
+            assert sum(s.lhs for s in rep.slices) == rc.upper, (a, t)
             matched = sum(s.rhs for s in rep.slices)
             assert matched <= rc.lower
             if t % 12 == 4:
-                assert rc.lower - matched >= 1, (m, t)
+                assert rc.lower - matched >= 1, (a, t)
 
 
 def test_diff_identity_report(monkeypatch):
