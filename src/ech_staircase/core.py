@@ -45,21 +45,20 @@ class Ellipsoid:
         return f"E({self.a}, {self.b})"
 
 
-def _corner_weights(u: Fraction, v: Fraction) -> list[Fraction]:
+def _corner_weights(u: int, v: int) -> list[int]:
     """Weights of the right triangle with legs u, v under greedy corner removal.
 
     Each stage removes the largest inscribed isoceles right triangle and
-    recurses on the remainder; arithmetically this is the subtractive
-    Euclidean expansion run with multiplicities, so it ends after
-    O(log max(num, den)) stages.
+    recurses on the remainder; arithmetically this is the Euclidean algorithm
+    run with multiplicities, so it ends after O(log max(u, v)) stages.
     """
     if u > v:
         u, v = v, u
-    weights: list[Fraction] = []
+    weights: list[int] = []
     while u > 0:
-        reps = v // u
+        reps, rem = divmod(v, u)
         weights.extend([u] * reps)
-        u, v = v - reps * u, u
+        u, v = rem, u
     return weights
 
 
@@ -72,7 +71,8 @@ def weight_sequence(value: Fraction) -> list[Fraction]:
     value = Fraction(value)
     if value < 1:
         raise ValueError(f"weight sequence needs a value >= 1, got {value}")
-    return _corner_weights(Fraction(1), value)
+    p, q = value.numerator, value.denominator
+    return [Fraction(n, q) for n in _corner_weights(q, p)]
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ def negative_weight_sequence(value: Fraction) -> WeightExpansion:
         raise ValueError(f"negative weight sequence needs a value >= 1, got {value}")
     if value == 1:
         return WeightExpansion(Fraction(1), ())
-    return WeightExpansion(value, tuple(_corner_weights(value - 1, value)))
+    p, q = value.numerator, value.denominator
+    return WeightExpansion(value, tuple(Fraction(n, q) for n in _corner_weights(p - q, p)))
 
 
 def per_vol(expansion: WeightExpansion) -> tuple[Fraction, Fraction]:

@@ -1,6 +1,6 @@
 """Lattice-point counts of dilated rational right triangles, quasi-polynomial
 fits, the domination criterion for ellipsoid embeddings, and the horizontal
-slice machinery used by the eccentricity-4/3 analysis.
+slice machinery of the eccentricity-4/3 analysis (one row pass serves both).
 
 Counting uses exact integer arithmetic throughout; irrational parameters go
 through adaptive rational enclosures (see intervals).
@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil, gcd, lcm
 
 from .core import Ellipsoid
-from .intervals import MAX_BITS, START_BITS, AdaptiveScalar, Interval, PrecisionError
+from .intervals import AdaptiveScalar
 
 
 @dataclass(frozen=True)
@@ -254,10 +254,6 @@ def embedding_decision(
 # strictly below the crossing, ceil(t/12) of them for even t and none for odd.
 
 
-class _Straddle(Exception):
-    """Internal: an enclosure straddles a decision boundary; refine and retry."""
-
-
 @dataclass(frozen=True)
 class SliceCounts:
     """Lattice tallies of the two wedges for one dilation t."""
@@ -275,91 +271,71 @@ def boundary_lattice_count(t: int) -> int:
     return (t + 11) // 12 if t % 2 == 0 else 0
 
 
-def _edge_ceil(lo_num: int, hi_num: int, m: int) -> int:
-    """ceil(max(0, x)) for a parameter-edge bound x in [lo_num, hi_num] / m.
+def _wedge_rows(n_lo: int, n_hi: int, den: int, t: int):
+    """Per-height wedge tallies with a enclosed in [n_lo, n_hi] / den, or None
+    when the enclosure leaves some row ambiguous; n_lo == n_hi means a is
+    exactly that rational.
 
-    Raises _Straddle unless every point of the enclosure gives the same
-    non-integral answer; an exact bound (lo_num == hi_num) raises only when it
-    is a nonnegative integer, which each caller's on-edge policy then handles.
+    Returns (upper, lower, on_edge): upper[i] tallies height ceil(t/12) + i,
+    lower[y] tallies height y <= floor(t/12), and on_edge is the first upper
+    height whose exact bound is a lattice point on the parameter edge, which
+    the upper wedge leaves out (None if there is none).
     """
-    if hi_num < 0:
-        return 0
-    if lo_num > 0 and lo_num % m and hi_num % m:
-        ce = -((-lo_num) // m)
-        if ce == -((-hi_num) // m):
-            return ce
-    raise _Straddle
-
-
-def _edge_floor(lo_num: int, hi_num: int, m: int) -> int:
-    """floor(x) for a parameter-edge bound x in [lo_num, hi_num] / m, or _Straddle."""
-    fl = lo_num // m
-    if fl != hi_num // m:
-        raise _Straddle
-    return fl
-
-
-def _region_tallies(n_lo: int, n_hi: int, den: int, t: int) -> tuple[int, int]:
-    """Wedge tallies with a enclosed in [n_lo, n_hi] / den; n_lo == n_hi
-    means a is exactly that rational."""
     m = 12 * den
     base = 3 * t * den
-    upper = 0
+    upper: list[int] = []
+    on_edge = None
     for y in range((t + 11) // 12, t // 6 + 1):
         c1 = t - 12 * y
         if c1 == 0:
-            upper += 1  # crossing point, a lattice point exactly when 12 | t
+            upper.append(1)  # crossing point, a lattice point exactly when 12 | t
             continue
-        lo_num = base + c1 * n_hi
-        try:
-            lo = _edge_ceil(lo_num, base + c1 * n_lo, m)
-        except _Straddle:
-            if n_lo != n_hi:
-                raise
-            lo = lo_num // m + 1  # on the parameter edge: excluded from the upper wedge
-        upper += max(0, (t - 6 * y) // 2 - lo + 1)
-    lower = 0
+        # ceil(max(0, x)) for the parameter-edge bound x in [lo, hi] / m (c1 < 0)
+        lo, hi = base + c1 * n_hi, base + c1 * n_lo
+        if hi < 0:
+            ce = 0
+        elif lo > 0 and lo % m and hi % m and lo // m == hi // m:
+            ce = lo // m + 1
+        elif n_lo != n_hi:
+            return None
+        else:
+            ce = lo // m + 1  # on the parameter edge: excluded from the upper wedge
+            on_edge = y if on_edge is None else on_edge
+        upper.append(max(0, (t - 6 * y) // 2 - ce + 1))
+    lower: list[int] = []
     for y in range(t // 12 + 1):
-        fl = _edge_floor(base + (t - 12 * y) * n_lo, base + (t - 12 * y) * n_hi, m)
-        lower += max(0, fl - (t - 6 * y + 1) // 2 + 1)
-    return upper, lower
+        fl = (base + (t - 12 * y) * n_lo) // m
+        if fl != (base + (t - 12 * y) * n_hi) // m:
+            return None
+        lower.append(max(0, fl - (t - 6 * y + 1) // 2 + 1))
+    return upper, lower, on_edge
 
 
-def _interval_ints(iv) -> tuple[int, int, int]:
-    den = lcm(iv.lo.denominator, iv.hi.denominator)
-    return iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator), den
-
-
-def _on_parameter(a, t: int, worker):
-    """Run worker(n_lo, n_hi, den, t) for 3 < a <= 4 and t >= 1; returns (a, result).
-
-    A rational a (returned as a Fraction) goes to the worker exactly; an
-    AdaptiveScalar is enclosed, refining while the worker raises _Straddle.
-    """
+def _on_parameter(a, t: int):
+    """(a, _wedge_rows(..., t)) for 3 < a <= 4 and t >= 1: a rational a (returned
+    as a Fraction) is walked exactly, an AdaptiveScalar is refined until its
+    enclosure lies in (3, 4] and every row resolves."""
     if t < 1:
         raise ValueError("t must be a positive integer")
-    if isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-        enclosure = lambda bits: Interval(a, a)
-    elif isinstance(a, AdaptiveScalar):
-        enclosure = a.enclosure
-    else:
+    if isinstance(a, AdaptiveScalar):
+
+        def decide(iv):
+            if iv.hi <= 3 or iv.lo > 4:
+                raise ValueError(f"parameter {a} lies outside (3, 4]")
+            if iv.lo <= 3 or iv.hi > 4:
+                return None
+            den = lcm(iv.lo.denominator, iv.hi.denominator)
+            n_lo = iv.lo.numerator * (den // iv.lo.denominator)
+            n_hi = iv.hi.numerator * (den // iv.hi.denominator)
+            return _wedge_rows(n_lo, n_hi, den, t)
+
+        return a, a.resolve(decide)
+    if not isinstance(a, (int, Fraction)):
         raise TypeError(f"unsupported scalar type {type(a).__name__}")
-    bits = START_BITS
-    while True:
-        iv = enclosure(bits)
-        if iv.hi <= 3 or iv.lo > 4:
-            raise ValueError(f"parameter {a} lies outside (3, 4]")
-        if iv.lo > 3 and iv.hi <= 4:
-            try:
-                return a, worker(*_interval_ints(iv), t)
-            except _Straddle:
-                pass
-        if bits >= MAX_BITS:
-            raise PrecisionError(
-                f"{a!r} did not resolve at {MAX_BITS} bits; degenerate rational input?"
-            )
-        bits *= 2
+    a = Fraction(a)
+    if not 3 < a <= 4:
+        raise ValueError(f"parameter {a} lies outside (3, 4]")
+    return a, _wedge_rows(a.numerator, a.numerator, a.denominator, t)
 
 
 def region_counts(a, t: int) -> SliceCounts:
@@ -368,8 +344,8 @@ def region_counts(a, t: int) -> SliceCounts:
     a may be a rational (exact path) or an AdaptiveScalar enclosing an
     irrational; enclosures are refined until every slice floor resolves.
     """
-    a, (upper, lower) = _on_parameter(a, t, _region_tallies)
-    return SliceCounts(t, a, upper, lower, boundary_lattice_count(t))
+    a, (upper, lower, _) = _on_parameter(a, t)
+    return SliceCounts(t, a, sum(upper), sum(lower), boundary_lattice_count(t))
 
 
 @dataclass(frozen=True)
@@ -395,34 +371,6 @@ class SliceInequalityReport:
         return all(s.ok for s in self.slices)
 
 
-def _slice_rows(n_lo: int, n_hi: int, den: int, t: int) -> list[SliceCheck]:
-    m = 12 * den
-    base = 3 * t * den
-    rows: list[SliceCheck] = []
-    y_top = t // 6
-    for y0 in range((t + 11) // 12, y_top + 1):
-        y1 = y_top - y0
-        # ceil(max(0, x1)) on the parameter edge at the upper height
-        if 12 * y0 == t:
-            ce1 = t // 4
-        else:
-            try:
-                ce1 = _edge_ceil(base + (t - 12 * y0) * n_hi, base + (t - 12 * y0) * n_lo, m)
-            except _Straddle:
-                if n_lo != n_hi:
-                    raise
-                raise ValueError(
-                    f"slice bound is integral at t={t}, y0={y0}; "
-                    "the per-slice inequality needs a with non-integral bounds"
-                ) from None
-        # floor(x4) on the parameter edge at the lower height
-        fl4 = _edge_floor(base + (t - 12 * y1) * n_lo, base + (t - 12 * y1) * n_hi, m)
-        lhs = (t - 6 * y0) // 2 - ce1 + 1
-        rhs = fl4 - (t - 6 * y1 + 1) // 2 + 1
-        rows.append(SliceCheck(y0, y1, lhs, rhs, lhs <= rhs))
-    return rows
-
-
 def verify_slice_inequality(a, t: int) -> SliceInequalityReport:
     """Per-slice count comparison pairing upper height y0 with y1 = floor(t/6) - y0.
 
@@ -431,7 +379,17 @@ def verify_slice_inequality(a, t: int) -> SliceInequalityReport:
     vacuous.  Rational a must keep the upper parameter-edge bound
     non-integral away from the crossing (otherwise ValueError).
     """
-    a, rows = _on_parameter(a, t, _slice_rows)
+    a, (upper, lower, on_edge) = _on_parameter(a, t)
+    if on_edge is not None:
+        raise ValueError(
+            f"slice bound is integral at t={t}, y0={on_edge}; "
+            "the per-slice inequality needs a with non-integral bounds"
+        )
+    y_top = t // 6
+    rows = []
+    for y0, lhs in enumerate(upper, (t + 11) // 12):
+        rhs = lower[y_top - y0]
+        rows.append(SliceCheck(y0, y_top - y0, lhs, rhs, lhs <= rhs))
     return SliceInequalityReport(t, a, tuple(rows), vacuous=not rows)
 
 

@@ -2,9 +2,9 @@
 
 Irrational parameters enter the lattice-counting machinery as numbers that
 can produce arbitrarily tight [lo, hi] brackets with Fraction endpoints.
-Consumers refine by asking for more bits whenever a floor or ceiling is
-ambiguous; a bracket that refuses to resolve by MAX_BITS signals a
-degenerate (secretly rational) input and raises PrecisionError.
+Consumers refine through AdaptiveScalar.resolve, which asks for more bits
+while their decision on the bracket is ambiguous; a bracket that refuses to
+resolve by MAX_BITS signals a degenerate (secretly rational) input.
 """
 
 from __future__ import annotations
@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable
+from typing import Callable, TypeVar
 
 MAX_BITS = 256
 START_BITS = 64
+
+T = TypeVar("T")
 
 
 class PrecisionError(ArithmeticError):
@@ -105,16 +107,21 @@ class AdaptiveScalar:
 
     __rmul__ = __mul__
 
-    def floor(self) -> int:
-        """Exact floor, refining as needed; PrecisionError past MAX_BITS."""
+    def resolve(self, decide: Callable[[Interval], T | None]) -> T:
+        """decide(enclosure) from START_BITS, doubling the bits while it
+        returns None; PrecisionError past MAX_BITS."""
         bits = START_BITS
         while True:
-            f = self.enclosure(bits).floor_or_none()
-            if f is not None:
-                return f
+            result = decide(self.enclosure(bits))
+            if result is not None:
+                return result
             if bits >= MAX_BITS:
-                raise PrecisionError(f"floor of {self.label} straddles an integer")
+                raise PrecisionError(f"{self.label} did not resolve at {MAX_BITS} bits")
             bits *= 2
+
+    def floor(self) -> int:
+        """Exact floor, refining as needed; PrecisionError past MAX_BITS."""
+        return self.resolve(Interval.floor_or_none)
 
     def __float__(self) -> float:
         iv = self.enclosure(START_BITS)

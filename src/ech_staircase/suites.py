@@ -15,6 +15,7 @@ from .analysis import (
     NICEBOUND_EXCLUDED,
     NamedCheck,
     STEP5_LEFTOVERS,
+    grid_43,
     verify_43_case,
     verify_claim_steps,
     verify_exceptional,
@@ -240,8 +241,6 @@ def lemma_checks(k_max: int = 60, claims_k: int = 200, claims_l: int = 50) -> li
 
 
 def case43_checks(t_max: int = 300, step: Fraction = Fraction(1, 20)) -> list[NamedCheck]:
-    from .analysis import grid_43
-
     rep = verify_43_case(t_max, grid_43(step))
     bad = [r.a for r in rep.rows if not r.ok]
     return [
