@@ -45,19 +45,17 @@ class Ellipsoid:
         return f"E({self.a}, {self.b})"
 
 
-def _corner_weights(u: int, v: int) -> list[int]:
-    """Weights of the right triangle with legs u, v under greedy corner removal.
+def _corner_weights(u: int, v: int, q: int) -> list[Fraction]:
+    """Weights of the right triangle with legs u/q, v/q under greedy corner removal.
 
     Each stage removes the largest inscribed isoceles right triangle and
     recurses on the remainder; arithmetically this is the Euclidean algorithm
     run with multiplicities, so it ends after O(log max(u, v)) stages.
     """
-    if u > v:
-        u, v = v, u
-    weights: list[int] = []
+    weights: list[Fraction] = []
     while u > 0:
-        reps, rem = divmod(v, u)
-        weights.extend([u] * reps)
+        reps, rem = divmod(v, u)  # reps = 0 when u > v: the legs swap
+        weights.extend([Fraction(u, q)] * reps)
         u, v = rem, u
     return weights
 
@@ -72,7 +70,7 @@ def weight_sequence(value: Fraction) -> list[Fraction]:
     if value < 1:
         raise ValueError(f"weight sequence needs a value >= 1, got {value}")
     p, q = value.numerator, value.denominator
-    return [Fraction(n, q) for n in _corner_weights(q, p)]
+    return _corner_weights(q, p, q)
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def negative_weight_sequence(value: Fraction) -> WeightExpansion:
     if value == 1:
         return WeightExpansion(Fraction(1), ())
     p, q = value.numerator, value.denominator
-    return WeightExpansion(value, tuple(Fraction(n, q) for n in _corner_weights(p - q, p)))
+    return WeightExpansion(value, tuple(_corner_weights(p - q, p, q)))
 
 
 def per_vol(expansion: WeightExpansion) -> tuple[Fraction, Fraction]:
