@@ -36,7 +36,6 @@ from .core import (
     Ellipsoid,
     WeightExpansion,
     accumulation_point,
-    frac_part,
     negative_weight_sequence,
     per_vol,
     weight_sequence,
@@ -97,7 +96,6 @@ __all__ = [
     "ehrhart_dominates",
     "embedding_decision",
     "fit_quasi_polynomial",
-    "frac_part",
     "intersection_points",
     "negative_weight_sequence",
     "parameter_triangle",

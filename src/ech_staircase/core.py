@@ -13,12 +13,6 @@ from math import gcd, lcm
 from .surd import QuadraticSurd
 
 
-def frac_part(x: Fraction) -> Fraction:
-    """Fractional part {x} = x - floor(x), in [0, 1)."""
-    x = Fraction(x)
-    return x - x.__floor__()
-
-
 @dataclass(frozen=True)
 class Ellipsoid:
     """Open four-dimensional ellipsoid E(a, b), normalized so 0 < a <= b."""
@@ -45,18 +39,29 @@ class Ellipsoid:
         return f"E({self.a}, {self.b})"
 
 
-def _corner_weights(u: int, v: int, q: int) -> list[Fraction]:
-    """Weights of the right triangle with legs u/q, v/q under greedy corner removal.
+def _corner_weights(u: int, v: int) -> list[tuple[int, int]]:
+    """Stages (n, reps) of the right triangle with integer legs u, v under greedy
+    corner removal: reps isoceles corners of leg n, with n strictly decreasing.
 
     Each stage removes the largest inscribed isoceles right triangle and
     recurses on the remainder; arithmetically this is the Euclidean algorithm
-    run with multiplicities, so it ends after O(log max(u, v)) stages.
+    run with multiplicities, so it ends after O(log max(u, v)) stages, with
+    sum(reps * n) = u + v - gcd(u, v) and sum(reps * n**2) = u * v.
     """
-    weights: list[Fraction] = []
+    u, v = min(u, v), max(u, v)
+    stages: list[tuple[int, int]] = []
     while u > 0:
-        reps, rem = divmod(v, u)  # reps = 0 when u > v: the legs swap
-        weights.extend([Fraction(u, q)] * reps)
+        reps, rem = divmod(v, u)
+        stages.append((u, reps))
         u, v = rem, u
+    return stages
+
+
+def _scaled_weights(stages: list[tuple[int, int]], q: int) -> list[Fraction]:
+    """The weights n/q of `stages`, one Fraction shared by each stage's repeats."""
+    weights: list[Fraction] = []
+    for n, reps in stages:
+        weights.extend([Fraction(n, q)] * reps)
     return weights
 
 
@@ -70,7 +75,7 @@ def weight_sequence(value: Fraction) -> list[Fraction]:
     if value < 1:
         raise ValueError(f"weight sequence needs a value >= 1, got {value}")
     p, q = value.numerator, value.denominator
-    return _corner_weights(q, p, q)
+    return _scaled_weights(_corner_weights(q, p), q)
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ def negative_weight_sequence(value: Fraction) -> WeightExpansion:
     if value == 1:
         return WeightExpansion(Fraction(1), ())
     p, q = value.numerator, value.denominator
-    return WeightExpansion(value, tuple(_corner_weights(p - q, p, q)))
+    return WeightExpansion(value, tuple(_scaled_weights(_corner_weights(p - q, p), q)))
 
 
 def per_vol(expansion: WeightExpansion) -> tuple[Fraction, Fraction]:
@@ -112,7 +117,7 @@ def per_vol(expansion: WeightExpansion) -> tuple[Fraction, Fraction]:
     The tail sums run over integer numerators n_i = wi * d, d the lcm of the
     tail denominators."""
     w = expansion.head
-    # a loop, not lcm(*...): its argument tuples cost the weights suite 1 MB of peak RSS
+    # a loop, not lcm(*...), which would build a tuple as long as the tail
     d = 1
     for t in expansion.tail:
         d = lcm(d, t.denominator)

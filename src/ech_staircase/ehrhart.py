@@ -30,9 +30,6 @@ class RightTriangle:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    def transpose(self) -> "RightTriangle":
-        return RightTriangle(self.v, self.u)
-
     def __str__(self) -> str:
         return f"T({self.u}, {self.v})"
 

@@ -3,6 +3,9 @@
 These are the independent oracles of the project.  Where an operation has a
 clever path (scaled-int capacity cutoff, closed-form identities, slice
 tallies), the suite recomputes the answer by brute force and compares exactly.
+The weight identities are integer facts about the Euclid stages behind every
+weight sequence, and the capacity oracle sorts a box of scaled integers, so
+neither builds a Fraction per item.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .analysis import (
     verify_nicebound,
 )
 from .capacities import capacity_prefix
-from .core import Ellipsoid, negative_weight_sequence, per_vol, weight_sequence
+from .core import Ellipsoid, _corner_weights
 from .ehrhart import (
     TRIANGLE_HALF_SIXTH,
     TRIANGLE_THIRD_QUARTER,
@@ -46,18 +49,24 @@ _LARGE_PRIME_DENOMINATORS = (3607, 4001, 4999)
 def brute_capacities(ellipsoid: Ellipsoid, count: int) -> list[Fraction]:
     """Materialize-and-sort oracle for the first `count` capacities.
 
-    Grows the lattice box until the candidate value is certainly below every
-    excluded lattice point; shares no code with the scaled-int generator.
+    Works in integers: a and b times the product of their denominators.  Sorts
+    the whole box i*a + j*b, 0 <= i, j <= m, and doubles m until the candidate
+    value is certainly below every excluded lattice point; shares no code with
+    the isqrt cutoff of CapacitySequence.
     """
-    a, b = ellipsoid.a, ellipsoid.b
+    scale = ellipsoid.a.denominator * ellipsoid.b.denominator
+    a = ellipsoid.a.numerator * ellipsoid.b.denominator
+    b = ellipsoid.b.numerator * ellipsoid.a.denominator
     m = 1
     while True:
         if (m + 1) ** 2 >= count:
             values = sorted(
-                i * a + j * b for i in range(m + 1) for j in range(m + 1)
+                x + y
+                for x in range(0, (m + 1) * a, a)
+                for y in range(0, (m + 1) * b, b)
             )[:count]
             if values[-1] < m * a and values[-1] < m * b:
-                return values
+                return [Fraction(v, scale) for v in values]
         m *= 2
 
 
@@ -92,7 +101,8 @@ def _check(name: str, hypothesis: str, ok: bool, witness: str) -> NamedCheck:
 
 def weight_identity_checks(max_value: int = 200) -> list[NamedCheck]:
     """sum(w) = p/q + 1 - 1/q and sum(w^2) = p/q for every p/q in lowest terms,
-    plus the per/vol closed forms (k+l+1)/l and k/l."""
+    plus the per/vol closed forms (k+l+1)/l and k/l, checked in integers on the
+    Euclid stages that the weight sequences are built from."""
     bad_sum = bad_pv = None
     pairs = 0
     for q in range(1, max_value + 1):
@@ -100,14 +110,16 @@ def weight_identity_checks(max_value: int = 200) -> list[NamedCheck]:
             if gcd(p, q) != 1:
                 continue
             pairs += 1
-            x = Fraction(p, q)
-            # each weight is n/q: sum(n) = p + q - 1 and sum(n^2) = p*q in integers
-            ws = weight_sequence(x)
-            ns = [w.numerator * (q // w.denominator) for w in ws if q % w.denominator == 0]
-            if len(ns) != len(ws) or sum(ns) != p + q - 1 or sum(n * n for n in ns) != p * q:
+            # weight_sequence(p/q) is the weights n/q of the legs (q, p)
+            stages = _corner_weights(q, p)
+            if (sum(r * n for n, r in stages) != p + q - 1
+                    or sum(r * n * n for n, r in stages) != p * q):
                 bad_sum = bad_sum or (p, q)
-            per, vol = per_vol(negative_weight_sequence(x))
-            if per != Fraction(p + q + 1, q) or vol != x:
+            # negative_weight_sequence(p/q) is the head p/q and the weights n/q of the
+            # legs (p - q, p): q*per = 3p - sum(n) and q^2*vol = p^2 - sum(n^2)
+            tail = _corner_weights(p - q, p)
+            if (3 * p - sum(r * n for n, r in tail) != p + q + 1
+                    or p * p - sum(r * n * n for n, r in tail) != p * q):
                 bad_pv = bad_pv or (p, q)
     return [
         _check(

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ech_staircase.core import (
     Ellipsoid,
     WeightExpansion,
+    _corner_weights,
     accumulation_point,
-    frac_part,
     negative_weight_sequence,
     per_vol,
     weight_sequence,
@@ -73,6 +73,26 @@ def test_weight_sequence_identities_property(p, q):
     assert len(set(ws)) <= 2 * max(p, q).bit_length() + 2
 
 
+@given(u=st.integers(0, 10**6), v=st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_corner_weights_are_euclid_stages(u, v):
+    stages = _corner_weights(u, v)
+    assert sum(reps * n for n, reps in stages) == u + v - gcd(u, v)
+    assert sum(reps * n * n for n, reps in stages) == u * v
+    legs = [n for n, _ in stages]
+    assert all(legs[i] > legs[i + 1] for i in range(len(legs) - 1))
+    assert all(reps >= 1 for _, reps in stages)
+
+
+def test_negative_weight_sequence_tail_matches_geometric_oracle():
+    for q in range(1, 13):
+        for p in range(q, 41):
+            if gcd(p, q) != 1:
+                continue
+            x = F(p, q)
+            assert negative_weight_sequence(x).tail == tuple(geometric_weights(x - 1, x)), x
+
+
 def test_negative_weight_sequence_examples():
     assert negative_weight_sequence(F(2)) == WeightExpansion(F(2), (F(1), F(1)))
     assert negative_weight_sequence(F(3, 2)) == WeightExpansion(
@@ -134,9 +154,3 @@ def test_ellipsoid_normalization():
     assert e.scaled(F(3, 2)) == Ellipsoid(F(3), F(9, 2))
     with pytest.raises(ValueError):
         Ellipsoid(F(0), F(1))
-
-
-def test_frac_part():
-    assert frac_part(F(7, 3)) == F(1, 3)
-    assert frac_part(F(-1, 3)) == F(2, 3)
-    assert frac_part(F(4)) == 0

@@ -30,6 +30,16 @@ def test_brute_capacities_small_window():
     assert brute_capacities(e, 4) == [F(0), F(1), F(4, 3), F(2)]
 
 
+def test_brute_capacities_match_a_fraction_sort():
+    # unequal denominators that do not divide each other, so the integer scale
+    # is neither denominator; the box (count + 2)**2 reaches past
+    # c_{count-1} <= (count - 1) * min(a, b)
+    count = 60
+    for a, b in [(F(3, 7), F(5, 4)), (F(5, 6), F(9, 4)), (F(11, 9), F(2, 15))]:
+        box = sorted(i * a + j * b for i in range(count + 2) for j in range(count + 2))
+        assert brute_capacities(Ellipsoid(a, b), count) == box[:count], (a, b)
+
+
 def test_capacity_oracle_over_small_parameter_box():
     # seeded slice of the numerator+denominator <= 20 box
     rng = random.Random(11)
