@@ -8,6 +8,7 @@ irrational parameters.
 """
 
 from .analysis import (
+    BoundCase,
     BulletBound,
     Case43Report,
     ClaimsReport,
@@ -15,6 +16,7 @@ from .analysis import (
     NamedCheck,
     ScanRow,
     TheoremReport,
+    bound_case,
     bullet_lower_bound,
     bullets_for,
     intersection_points,
@@ -66,6 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccumulationData",
     "AdaptiveScalar",
+    "BoundCase",
     "BulletBound",
     "CapacitySequence",
     "Case43Report",
@@ -86,6 +89,7 @@ __all__ = [
     "TheoremReport",
     "WeightExpansion",
     "accumulation_point",
+    "bound_case",
     "boundary_lattice_count",
     "bullet_lower_bound",
     "bullets_for",

@@ -3,23 +3,25 @@
 Explicit capacity-derived lower bounds (the seven bullet bounds), their
 tangency points with the volume curve, the accumulation-point inequality
 lemmas with exact surd comparisons, the eccentricity-4/3 case, and a
-per-(k, l) report assembling all of it.
+per-(k, l) report of the evidence.  `bound_case` is the one place that
+decides which argument covers a given b = k/l; the grid scan printed next to
+a report is `scan_rows`, which the report itself never calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import floor, gcd
 
 from .capacities import capacity_lower_bound
 from .core import Ellipsoid, accumulation_point
 from .ehrhart import DominationVerdict, embedding_decision
 from .surd import QuadraticSurd
 
-NICEBOUND_EXCLUDED = frozenset({(3, 2), (5, 2), (4, 3), (5, 3), (5, 4)})
 EXCEPTIONAL_PAIRS = frozenset({(5, 2), (5, 3), (5, 4)})
-STAIRCASE_ECCENTRICITIES = (Fraction(1), Fraction(2), Fraction(3, 2))
+STAIRCASE_PAIRS = frozenset({(1, 1), (2, 1), (3, 2)})  # b = 1, 2 and 3/2
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,36 @@ def intersection_points(b: Fraction) -> list[tuple[int, Fraction]]:
 
 
 @dataclass(frozen=True)
+class BoundCase:
+    """How the theorem treats one b = k/l.
+
+    A staircase b (1, 2 or 3/2) and b = 4/3 are special.  Every other b is
+    "general": one bound lemma puts a0 below the top of the governing bullets,
+    which then rule out an accumulation of singular points at a0.
+    """
+
+    category: str  # "staircase" | "four-thirds" | "general"
+    lemma: str | None  # "integral" | "exceptional" | "nicebound" when general
+    governing: tuple[int, ...]  # bullet indices; every bullet when special
+
+
+def bound_case(k: int, l: int) -> BoundCase:
+    """The paper's case split for b = k/l: integer b >= 3 by the integral lemma
+    and bullets 1-3, 6, 7; every other general b by bullets 1-5 and the
+    exceptional lemma on EXCEPTIONAL_PAIRS, the nicebound lemma elsewhere."""
+    if l < 1 or k < l or gcd(k, l) != 1:
+        raise ValueError(f"need coprime k >= l >= 1, got ({k}, {l})")
+    if (k, l) in STAIRCASE_PAIRS:
+        return BoundCase("staircase", None, (1, 2, 3, 4, 5, 6, 7))
+    if (k, l) == (4, 3):
+        return BoundCase("four-thirds", None, (1, 2, 3, 4, 5, 6, 7))
+    if l == 1:
+        return BoundCase("general", "integral", (1, 2, 3, 6, 7))
+    lemma = "exceptional" if (k, l) in EXCEPTIONAL_PAIRS else "nicebound"
+    return BoundCase("general", lemma, (1, 2, 3, 4, 5))
+
+
+@dataclass(frozen=True)
 class LemmaCheck:
     """Exact surd-vs-rational comparison a0 < bound for one (k, l)."""
 
@@ -140,8 +172,8 @@ def _compare_a0(name: str, k: int, l: int, bound: Fraction) -> LemmaCheck:
 
 
 def verify_nicebound(k: int, l: int) -> LemmaCheck:
-    """a0(k, l) < (k + l + 1)/l, for l >= 2 outside the five excluded pairs."""
-    if l == 1 or (k, l) in NICEBOUND_EXCLUDED:
+    """a0(k, l) < (k + l + 1)/l, for every pair that bound_case gives this lemma."""
+    if bound_case(k, l).lemma != "nicebound":
         return LemmaCheck("nicebound", k, l, "excluded")
     return _compare_a0("nicebound", k, l, Fraction(k + l + 1, l))
 
@@ -149,11 +181,12 @@ def verify_nicebound(k: int, l: int) -> LemmaCheck:
 def verify_exceptional(k: int, l: int) -> LemmaCheck:
     """The two stragglers: a0 < b(floor(b)+2)^2/(floor(b)+1)^2 for the three
     exceptional pairs, and a0 < k(k+3)^2/(k+1)^2 for integer b = k >= 3."""
-    if (k, l) in EXCEPTIONAL_PAIRS:
+    lemma = bound_case(k, l).lemma
+    if lemma == "exceptional":
         b = Fraction(k, l)
         f = b.__floor__()
         return _compare_a0("exceptional", k, l, b * Fraction(f + 2) ** 2 / (f + 1) ** 2)
-    if l == 1 and k >= 3:
+    if lemma == "integral":
         return _compare_a0("integral", k, l, Fraction(k * (k + 3) ** 2, (k + 1) ** 2))
     raise ValueError(f"({k}, {l}) is outside both exceptional families")
 
@@ -240,16 +273,20 @@ class Case43Report:
         return all(r.ok for r in self.rows)
 
 
-def grid_43(step: Fraction = Fraction(1, 20)) -> list[Fraction]:
+def _grid(lo: Fraction, hi, step: Fraction) -> list[Fraction]:
+    """The rationals lo, lo + step, ... not exceeding hi, which may be a surd."""
     step = Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    grid = []
-    a = Fraction(2)
-    while a <= 4:
-        grid.append(a)
+    points, a = [], Fraction(lo)
+    while a <= hi:
+        points.append(a)
         a += step
-    return grid
+    return points
+
+
+def grid_43(step: Fraction = Fraction(1, 20)) -> list[Fraction]:
+    return _grid(Fraction(2), Fraction(4), step)
 
 
 def claimed_value_43(a: Fraction) -> Fraction:
@@ -279,9 +316,7 @@ def verify_43_case(t_max: int | None, a_grid: list[Fraction] | None = None) -> C
     for a in grid:
         claimed = claimed_value_43(a)
         lower = capacity_lower_bound(a, target.b, 10)
-        upper = embedding_decision(
-            Ellipsoid(Fraction(1), a), target.scaled(claimed), t_max, exact=t_max is None
-        )
+        upper = embedding_decision(Ellipsoid(Fraction(1), a), target.scaled(claimed), t_max)
         rows.append(Case43Row(a, claimed, lower, lower == claimed, upper))
     return Case43Report(t_max, tuple(rows))
 
@@ -294,6 +329,10 @@ class NamedCheck:
     hypothesis: str
     verdict: str  # "pass" | "fail" | "info"
     witness: str
+
+    @classmethod
+    def judged(cls, name: str, hypothesis: str, ok: bool, witness: str) -> "NamedCheck":
+        return cls(name, hypothesis, "pass" if ok else "fail", witness)
 
     @property
     def failed(self) -> bool:
@@ -321,19 +360,15 @@ def scan_rows(
     b, a_lo, step = Fraction(b), Fraction(a_lo), Fraction(step)
     if a_lo < 1 or step <= 0:
         raise ValueError("need a_lo >= 1 and a positive step")
-    rows = []
-    a = a_lo
-    while a <= a_hi:
-        rows.append(
-            ScanRow(
-                a,
-                QuadraticSurd.sqrt_of(a / b),
-                bullet_lower_bound(b, a),
-                capacity_lower_bound(a, b, n_cap),
-            )
+    return [
+        ScanRow(
+            a,
+            QuadraticSurd.sqrt_of(a / b),
+            bullet_lower_bound(b, a),
+            capacity_lower_bound(a, b, n_cap),
         )
-        a += step
-    return rows
+        for a in _grid(a_lo, a_hi, step)
+    ]
 
 
 @dataclass(frozen=True)
@@ -344,15 +379,17 @@ class TheoremReport:
     k: int
     l: int
     b: Fraction
-    special: bool
-    category: str  # "staircase" | "four-thirds" | "general"
+    category: str  # bound_case's category
     a0: QuadraticSurd
     per: Fraction
     vol: Fraction
     lemma: str | None
     governing: tuple[BulletBound, ...]
     checks: tuple[NamedCheck, ...]
-    grid: tuple[ScanRow, ...] = field(repr=False, default=())
+
+    @property
+    def special(self) -> bool:
+        return self.category != "general"
 
     @property
     def ok(self) -> bool:
@@ -368,13 +405,8 @@ def _coverage_check(bullets: list[BulletBound], a0: QuadraticSurd) -> NamedCheck
         if bl.lo > reach:
             break
         reach = max(reach, bl.hi)
-    strict = a0 < reach
-    return NamedCheck(
-        "bullet-coverage",
-        hypothesis,
-        "pass" if strict else "fail",
-        f"covered through {reach}, a0 ~ {a0.decimal(10)}",
-    )
+    return NamedCheck.judged("bullet-coverage", hypothesis, a0 < reach,
+                             f"covered through {reach}, a0 ~ {a0.decimal(10)}")
 
 
 def _touch_classification(
@@ -393,14 +425,9 @@ def _touch_classification(
     if hit is not None:
         lo = min(bl.lo for bl in bullets)
         hi = max(bl.hi for bl in bullets)
-        flanked = lo < a0 < hi
-        return NamedCheck(
-            "volume-touch-classification",
-            hypothesis,
-            "pass" if flanked else "fail",
-            f"a0 = {a0} equals the tangency of bullet {hit}; "
-            f"flanking domains span [{lo}, {hi}]",
-        )
+        return NamedCheck.judged("volume-touch-classification", hypothesis, lo < a0 < hi,
+                                 f"a0 = {a0} equals the tangency of bullet {hit}; "
+                                 f"flanking domains span [{lo}, {hi}]")
     for bl in bullets:
         if not (bl.lo <= a0 <= bl.hi):
             continue
@@ -411,123 +438,71 @@ def _touch_classification(
         else:
             strict = a0 > bl.c * bl.c / b
         if strict:
-            return NamedCheck(
-                "volume-touch-classification",
-                hypothesis,
-                "pass",
+            return NamedCheck.judged(
+                "volume-touch-classification", hypothesis, True,
                 f"bullet {bl.index} bound strictly exceeds the volume at a0 ~ {a0.decimal(10)}",
             )
-    return NamedCheck(
-        "volume-touch-classification",
-        hypothesis,
-        "fail",
-        f"no bullet separates a0 ~ {a0.decimal(10)} from the volume curve",
-    )
+    return NamedCheck.judged("volume-touch-classification", hypothesis, False,
+                             f"no bullet separates a0 ~ {a0.decimal(10)} from the volume curve")
 
 
-def theorem_report(
-    k: int,
-    l: int,
-    n_cap: int = 2000,
-    grid_step: Fraction = Fraction(1, 60),
-) -> TheoremReport:
-    """Per-(k, l) verification: classify the eccentricity, check the governing
-    accumulation-point lemma exactly, confirm the bullet bounds cover up to a0,
-    and emit a grid scan of volume / bullet / capacity bounds on [1, a0 + 1]."""
+def theorem_report(k: int, l: int) -> TheoremReport:
+    """Per-(k, l) evidence: a0 solves its quadratic, and then, by bound_case's
+    category, the staircase consistency at a0, the pinned 4/3 function, or the
+    governing bound lemma checked exactly with bullet coverage up to a0 and
+    the separation from the volume curve at a0."""
     data = accumulation_point(k, l)
+    case = bound_case(k, l)
     b = Fraction(k, l)
     a0 = data.a0
-    checks: list[NamedCheck] = []
-
     residue = a0 * a0 - (data.per**2 / data.vol - 2) * a0 + 1
-    checks.append(
-        NamedCheck(
-            "accumulation-quadratic",
-            "a0 solves x^2 - (per^2/vol - 2) x + 1 = 0",
-            "pass" if residue == 0 else "fail",
-            f"residue {residue}",
-        )
-    )
-
-    special = b in STAIRCASE_ECCENTRICITIES or b == Fraction(4, 3)
-    bullets = bullets_for(b)
-    lemma: str | None = None
-    governing = bullets
-    if b in STAIRCASE_ECCENTRICITIES:
-        category = "staircase"
-        checks.append(
-            NamedCheck(
-                "special-eccentricity",
-                "b in {1, 2, 3/2}: an infinite staircase exists",
-                "info",
-                f"a0 = {a0} ~ {a0.decimal(10)}; no contradiction attempted",
-            )
-        )
-        # bounded consistency: certified lower bounds below a0 must stay within
-        # the volume value at a0, where the function meets the volume curve
-        a_probe = Fraction(1)
-        while a_probe + grid_step < a0:
-            a_probe += grid_step
-        lb = capacity_lower_bound(a_probe, b, n_cap)
-        consistent = QuadraticSurd.from_rational(lb * lb * b) <= a0
-        checks.append(
-            NamedCheck(
-                "volume-consistency-at-a0",
-                f"capacity bound at a = {a_probe} squared stays within a0/b",
-                "pass" if consistent else "fail",
-                f"bound {lb}, a0 ~ {a0.decimal(10)}",
-            )
-        )
-    elif b == Fraction(4, 3):
-        category = "four-thirds"
-        case = verify_43_case(None, grid_43(Fraction(1, 4)))
-        checks.append(
-            NamedCheck(
-                "four-thirds-case",
-                "embedding function pinned on [2, 4]; a0 = 3 is the unique "
-                "singular point nearby",
-                "pass" if case.ok else "fail",
-                f"{len(case.rows)} grid points, every level t",
-            )
-        )
+    checks = [NamedCheck.judged("accumulation-quadratic",
+                                "a0 solves x^2 - (per^2/vol - 2) x + 1 = 0",
+                                residue == 0, f"residue {residue}")]
+    governing = [bl for bl in bullets_for(b) if bl.index in case.governing]
+    if case.category == "staircase":
+        checks.append(NamedCheck(
+            "special-eccentricity",
+            "b in {1, 2, 3/2}: an infinite staircase exists",
+            "info",
+            f"a0 = {a0} ~ {a0.decimal(10)}; no contradiction attempted",
+        ))
+        # bounded consistency: the 2000-term certified lower bound at the last
+        # multiple of 1/60 below the irrational a0 must stay within the volume
+        # value at a0, where the function meets the volume curve
+        a_probe = Fraction(floor(a0 * 60), 60)
+        lb = capacity_lower_bound(a_probe, b, 2000)
+        checks.append(NamedCheck.judged(
+            "volume-consistency-at-a0",
+            f"capacity bound at a = {a_probe} squared stays within a0/b",
+            QuadraticSurd.from_rational(lb * lb * b) <= a0,
+            f"bound {lb}, a0 ~ {a0.decimal(10)}",
+        ))
+    elif case.category == "four-thirds":
+        case43 = verify_43_case(None, grid_43(Fraction(1, 4)))
+        checks.append(NamedCheck.judged(
+            "four-thirds-case",
+            "embedding function pinned on [2, 4]; a0 = 3 is the unique singular point nearby",
+            case43.ok,
+            f"{len(case43.rows)} grid points, every level t",
+        ))
         lb = capacity_lower_bound(Fraction(3), b, 10)
-        checks.append(
-            NamedCheck(
-                "volume-equality-at-a0",
-                "a0 = 3: the certified bound meets the volume exactly",
-                "pass" if lb * lb * b == 3 and a0 == 3 else "fail",
-                f"bound {lb}, bound^2 * b = {lb * lb * b}",
-            )
-        )
+        checks.append(NamedCheck.judged(
+            "volume-equality-at-a0",
+            "a0 = 3: the certified bound meets the volume exactly",
+            lb * lb * b == 3 and a0 == 3,
+            f"bound {lb}, bound^2 * b = {lb * lb * b}",
+        ))
     else:
-        category = "general"
-        if l == 1:
-            lemma = "integral"
-            check = verify_exceptional(k, l)
-        elif (k, l) in EXCEPTIONAL_PAIRS:
-            lemma = "exceptional"
-            check = verify_exceptional(k, l)
-        else:
-            lemma = "nicebound"
-            check = verify_nicebound(k, l)
-        checks.append(
-            NamedCheck(
-                f"bound-lemma-{lemma}",
-                f"a0 < {check.bound}",
-                "pass" if check.passed else "fail",
-                f"margin {check.margin}",
-            )
-        )
-        if l == 1:
-            governing = [bl for bl in bullets if bl.index in (1, 2, 3, 6, 7)]
-        else:
-            governing = [bl for bl in bullets if bl.index <= 5]
-        checks.append(_coverage_check(governing, a0))
-        checks.append(_touch_classification(governing, a0, b))
+        check = verify_nicebound(k, l) if case.lemma == "nicebound" else verify_exceptional(k, l)
+        checks += [
+            NamedCheck.judged(f"bound-lemma-{case.lemma}", f"a0 < {check.bound}",
+                              check.passed, f"margin {check.margin}"),
+            _coverage_check(governing, a0),
+            _touch_classification(governing, a0, b),
+        ]
 
-    grid_hi = a0 + 1
-    grid = tuple(scan_rows(b, Fraction(1), grid_hi, grid_step, n_cap))
     return TheoremReport(
-        k, l, b, special, category, a0, data.per, data.vol, lemma,
-        tuple(governing), tuple(checks), grid,
+        k, l, b, case.category, a0, data.per, data.vol, case.lemma,
+        tuple(governing), tuple(checks),
     )

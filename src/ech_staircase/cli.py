@@ -169,14 +169,15 @@ def _cmd_report43(ns: argparse.Namespace) -> int:
 
 
 def _cmd_theorem_report(ns: argparse.Namespace) -> int:
-    rep = theorem_report(ns.k, ns.l, n_cap=ns.n_cap, grid_step=ns.grid_step)
+    rep = theorem_report(ns.k, ns.l)
+    scan = scan_rows(rep.b, Fraction(1), rep.a0 + 1, ns.grid_step, ns.n_cap)
     if ns.format == "text":
         lines = [
             f"(k, l) = ({rep.k}, {rep.l}), b = {rep.b}, category = {rep.category}",
             f"a0 = {rep.a0} ~ {rep.a0.decimal(ns.precision)}; per = {rep.per}, vol = {rep.vol}",
         ]
         lines += [_check_line(c) for c in rep.checks]
-        lines.append(f"grid rows: {len(rep.grid)} (use --format csv for the scan)")
+        lines.append(f"grid rows: {len(scan)} (use --format csv for the scan)")
         _emit([], ns, preamble=lines)
         return 0 if rep.ok else 1
     grid = [
@@ -186,7 +187,7 @@ def _cmd_theorem_report(ns: argparse.Namespace) -> int:
             "bullet_bound": str(row.bullet),
             "capacity_bound": str(row.capacity),
         }
-        for row in rep.grid
+        for row in scan
     ]
     _emit(grid if ns.format == "csv" else {
         "k": rep.k,

@@ -5,7 +5,9 @@ clever path (scaled-int capacity cutoff, closed-form identities, slice
 tallies), the suite recomputes the answer by brute force and compares exactly.
 The weight identities are integer facts about the Euclid stages behind every
 weight sequence, and the capacity oracle sorts a box of scaled integers, so
-neither builds a Fraction per item.
+neither builds a Fraction per item.  The lemma suite runs each bound lemma on
+the pairs that `analysis.bound_case` assigns to it, the same case split that
+theorem reports use.  A seeded suite names its seed in its hypothesis.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .analysis import (
-    NICEBOUND_EXCLUDED,
     NamedCheck,
     STEP5_LEFTOVERS,
+    bound_case,
     grid_43,
     verify_43_case,
     verify_claim_steps,
@@ -95,8 +97,7 @@ def sample_scalars(count: int, seed: int) -> list[tuple[str, object]]:
     return out
 
 
-def _check(name: str, hypothesis: str, ok: bool, witness: str) -> NamedCheck:
-    return NamedCheck(name, hypothesis, "pass" if ok else "fail", witness)
+_check = NamedCheck.judged
 
 
 def weight_identity_checks(max_value: int = 200) -> list[NamedCheck]:
@@ -138,8 +139,8 @@ def weight_identity_checks(max_value: int = 200) -> list[NamedCheck]:
 
 
 def capacity_oracle_checks(k_max: int = 300, seed: int = 0, pairs: int = 10) -> list[NamedCheck]:
-    """Generated capacities against the materialize-and-sort oracle.  The witness
-    text keeps its old "heap prefix" wording, so saved reports still compare."""
+    """Generated capacities against the materialize-and-sort oracle, on the two
+    reference ellipsoids and seeded random ones."""
     rng = random.Random(seed)
     ellipsoids = [Ellipsoid(Fraction(1), Fraction(1)), Ellipsoid(Fraction(1), Fraction(4, 3))]
     while len(ellipsoids) < pairs:
@@ -157,9 +158,9 @@ def capacity_oracle_checks(k_max: int = 300, seed: int = 0, pairs: int = 10) -> 
     return [
         _check(
             "capacity-oracle",
-            f"{len(ellipsoids)} ellipsoids, k <= {k_max}",
+            f"{len(ellipsoids)} ellipsoids, seed {seed}, k <= {k_max}",
             first_bad is None,
-            "heap prefix equals sorted sum-set" if first_bad is None else f"mismatch at {first_bad}",
+            "capacity prefix equals sorted sum-set" if first_bad is None else f"mismatch at {first_bad}",
         )
     ]
 
@@ -210,7 +211,7 @@ def slice_checks(samples: int = 40, t_max: int = 300, seed: int = 0) -> list[Nam
     return [
         _check(
             "slice-lemma",
-            f"{samples} sampled parameters in (3, 4), t <= {t_max}",
+            f"{samples} sampled parameters in (3, 4), seed {seed}, t <= {t_max}",
             first_bad is None,
             "upper wedge never outcounts" if first_bad is None else f"failure at {first_bad}",
         )
@@ -218,21 +219,22 @@ def slice_checks(samples: int = 40, t_max: int = 300, seed: int = 0) -> list[Nam
 
 
 def lemma_checks(k_max: int = 60, claims_k: int = 200, claims_l: int = 50) -> list[NamedCheck]:
+    """Each bound lemma on the coprime pairs with k <= k_max that bound_case
+    gives it, then the discriminant claims and the finite leftover list."""
+    family: dict = {None: [], "nicebound": [], "exceptional": [], "integral": []}
+    for k in range(1, k_max + 1):
+        for l in range(1, k + 1):
+            if gcd(k, l) == 1:
+                family[bound_case(k, l).lemma].append((k, l))
     out = []
-    bad = [
-        (k, l)
-        for k in range(2, k_max + 1)
-        for l in range(2, k)
-        if gcd(k, l) == 1 and (k, l) not in NICEBOUND_EXCLUDED and not verify_nicebound(k, l).passed
-    ]
+    bad = [kl for kl in family["nicebound"] if not verify_nicebound(*kl).passed]
     out.append(
         _check("nicebound", f"coprime (k, l), l >= 2, k <= {k_max}, outside exclusions",
                not bad, "all strict" if not bad else f"failures {bad[:3]}")
     )
     bad = [
-        (k, l)
-        for (k, l) in [(5, 2), (5, 3), (5, 4)] + [(k, 1) for k in range(3, k_max + 1)]
-        if not verify_exceptional(k, l).passed
+        kl for kl in family["exceptional"] + family["integral"]
+        if not verify_exceptional(*kl).passed
     ]
     out.append(
         _check("exceptional-and-integral", f"(5,2),(5,3),(5,4) and l = 1, 3 <= k <= {k_max}",

@@ -4,8 +4,9 @@ from math import gcd
 import pytest
 
 from ech_staircase.analysis import (
-    NICEBOUND_EXCLUDED,
     STEP5_LEFTOVERS,
+    BoundCase,
+    bound_case,
     bullet_lower_bound,
     bullets_for,
     grid_43,
@@ -20,6 +21,10 @@ from ech_staircase.analysis import (
 from ech_staircase.capacities import capacity
 from ech_staircase.core import Ellipsoid, accumulation_point
 from ech_staircase.surd import QuadraticSurd
+
+# the paper's list of l >= 2 pairs outside the nicebound lemma, stated here
+# independently of analysis.bound_case
+NICEBOUND_EXCLUDED = {(3, 2), (5, 2), (4, 3), (5, 3), (5, 4)}
 
 
 def test_bullet_lower_bound_examples():
@@ -166,7 +171,7 @@ def test_four_thirds_case_exact_on_the_report_grid():
     for row in rep.rows:
         assert row.ok and row.upper.checked_through is None, row.a
         assert str(row.upper) == "holds for all t"
-    rep = theorem_report(4, 3, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(4, 3)
     (check,) = [c for c in rep.checks if c.name == "four-thirds-case"]
     assert check.verdict == "pass" and check.witness == "9 grid points, every level t"
 
@@ -177,27 +182,43 @@ def test_grid_43():
 
 
 def test_theorem_report_categories():
-    rep = theorem_report(1, 1, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(1, 1)
     assert rep.category == "staircase" and rep.special and rep.ok
     assert rep.a0 == QuadraticSurd(7, 3, 5, 2)
 
-    rep = theorem_report(4, 3, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(4, 3)
     assert rep.category == "four-thirds" and rep.special and rep.ok
 
-    rep = theorem_report(5, 1, n_cap=40, grid_step=F(1, 4))
-    assert rep.category == "general" and rep.lemma == "integral" and rep.ok
+    rep = theorem_report(5, 1)
+    assert rep.category == "general" and not rep.special
+    assert rep.lemma == "integral" and rep.ok
     assert {bl.index for bl in rep.governing} == {1, 2, 3, 6, 7}
 
-    rep = theorem_report(5, 2, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(5, 2)
     assert rep.lemma == "exceptional" and rep.ok
+    assert {bl.index for bl in rep.governing} == {1, 2, 3, 4, 5}
 
-    rep = theorem_report(7, 2, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(7, 2)
     assert rep.lemma == "nicebound" and rep.ok
+
+
+def test_staircase_probe_is_the_last_sixtieth_below_a0():
+    for k, l in ((1, 1), (2, 1), (3, 2)):
+        rep = theorem_report(k, l)
+        (check,) = [c for c in rep.checks if c.name == "volume-consistency-at-a0"]
+        probe = F(check.hypothesis.split()[5])
+        assert probe < rep.a0 < probe + F(1, 60), (k, l)
+
+
+def test_bound_case_rejects_pairs_outside_the_theorem():
+    for k, l in ((4, 2), (2, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            bound_case(k, l)
 
 
 def test_theorem_report_rational_accumulation_point():
     # (8, 5) has a0 = 5/2, exactly the tangency of bullets 3 and 4
-    rep = theorem_report(8, 5, n_cap=40, grid_step=F(1, 4))
+    rep = theorem_report(8, 5)
     assert rep.a0 == F(5, 2)
     assert rep.ok
     touch = [c for c in rep.checks if c.name == "volume-touch-classification"]
@@ -205,26 +226,39 @@ def test_theorem_report_rational_accumulation_point():
 
 
 def test_theorem_report_sweep():
-    for k in range(1, 31):
+    # the full evidence for every coprime b = k/l with k <= 100
+    reports = 0
+    for k in range(1, 101):
         for l in range(1, k + 1):
             if gcd(k, l) != 1:
                 continue
-            rep = theorem_report(k, l, n_cap=24, grid_step=F(1, 3))
+            rep = theorem_report(k, l)
             assert rep.ok, (k, l)
+            reports += 1
+    assert reports == 3044
 
 
 def test_exactly_one_lemma_covers_each_nonspecial_pair():
     # mirror of the case split: every non-special coprime pair with k <= 60,
-    # l <= 40 is claimed by exactly one lemma, and that lemma is strict
-    special = {(1, 1), (2, 1), (3, 2), (4, 3)}
+    # l <= 40 is claimed by exactly one lemma, that lemma is the one
+    # bound_case names, and it is strict
+    special = {(1, 1): "staircase", (2, 1): "staircase", (3, 2): "staircase",
+               (4, 3): "four-thirds"}
     for k in range(1, 61):
         for l in range(1, min(k, 40) + 1):
-            if gcd(k, l) != 1 or (k, l) in special:
+            if gcd(k, l) != 1:
+                continue
+            if (k, l) in special:
+                assert bound_case(k, l).category == special[k, l], (k, l)
+                assert bound_case(k, l).lemma is None, (k, l)
                 continue
             integral = l == 1 and k >= 3
             exceptional = (k, l) in {(5, 2), (5, 3), (5, 4)}
             nice = l >= 2 and (k, l) not in NICEBOUND_EXCLUDED
             assert integral + exceptional + nice == 1, (k, l)
+            lemma = "integral" if integral else "exceptional" if exceptional else "nicebound"
+            governing = (1, 2, 3, 6, 7) if integral else (1, 2, 3, 4, 5)
+            assert bound_case(k, l) == BoundCase("general", lemma, governing), (k, l)
             if integral or exceptional:
                 assert verify_exceptional(k, l).passed, (k, l)
             else:

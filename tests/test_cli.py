@@ -159,6 +159,31 @@ def test_theorem_report_json(capsys):
     assert payload["grid"]
 
 
+@pytest.mark.parametrize("k, l", [(2, 1), (4, 3), (5, 1), (5, 2), (7, 3)])
+def test_theorem_report_evidence_ignores_grid_flags(capsys, k, l):
+    # the grid flags shape only the scan printed next to the checks
+    argv = ["theorem-report", "--k", str(k), "--l", str(l), "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, small, _ = run_cli(capsys, *argv, "--n-cap", "30", "--grid-step", "1/2")
+    assert code == 0
+    default, small = json.loads(out), json.loads(small)
+    assert small["checks"] == default["checks"]
+    assert len(small["grid"]) < len(default["grid"])
+
+
+def test_verify_names_its_seed(capsys):
+    rows = {}
+    for seed in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "capacities", "--seed", seed, "--format", "json"
+        )
+        assert code == 0
+        (rows[seed],) = [r for r in json.loads(out) if r["name"] == "capacity-oracle"]
+    assert rows["1"] != rows["2"]
+    assert "seed 1," in rows["1"]["hypothesis"]
+
+
 def test_theorem_report_has_no_truncation_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["theorem-report", "--t-max", "5", "--k", "4", "--l", "3"])
