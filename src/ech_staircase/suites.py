@@ -97,9 +97,6 @@ def sample_scalars(count: int, seed: int) -> list[tuple[str, object]]:
     return out
 
 
-_check = NamedCheck.judged
-
-
 def weight_identity_checks(max_value: int = 200) -> list[NamedCheck]:
     """sum(w) = p/q + 1 - 1/q and sum(w^2) = p/q for every p/q in lowest terms,
     plus the per/vol closed forms (k+l+1)/l and k/l, checked in integers on the
@@ -123,13 +120,13 @@ def weight_identity_checks(max_value: int = 200) -> list[NamedCheck]:
                     or p * p - sum(r * n * n for n, r in tail) != p * q):
                 bad_pv = bad_pv or (p, q)
     return [
-        _check(
+        NamedCheck.judged(
             "weight-sum-identities",
             f"all p/q >= 1 with p, q <= {max_value}",
             bad_sum is None,
             f"{pairs} expansions" if bad_sum is None else f"first failure {bad_sum}",
         ),
-        _check(
+        NamedCheck.judged(
             "per-vol-closed-forms",
             f"per = (k+l+1)/l and vol = k/l, k, l <= {max_value}",
             bad_pv is None,
@@ -156,7 +153,7 @@ def capacity_oracle_checks(k_max: int = 300, seed: int = 0, pairs: int = 10) -> 
             first_bad = e
             break
     return [
-        _check(
+        NamedCheck.judged(
             "capacity-oracle",
             f"{len(ellipsoids)} ellipsoids, seed {seed}, k <= {k_max}",
             first_bad is None,
@@ -176,17 +173,17 @@ def ehrhart_table_checks() -> list[NamedCheck]:
         for r in range(6)
     )
     return [
-        _check("ehrhart-constant-tables", "periods 6 and 12", ok_const,
-               "both constant tables exact"),
-        _check("ehrhart-leading-linear", "leading 1/24; linear 5/12|1/3 and 1/3", ok_lead and ok_linear,
-               "leading and linear terms exact"),
+        NamedCheck.judged("ehrhart-constant-tables", "periods 6 and 12", ok_const,
+                          "both constant tables exact"),
+        NamedCheck.judged("ehrhart-leading-linear", "leading 1/24; linear 5/12|1/3 and 1/3",
+                          ok_lead and ok_linear, "leading and linear terms exact"),
     ]
 
 
 def diff_identity_checks() -> list[NamedCheck]:
     violations = verify_diff_identity()
     return [
-        _check(
+        NamedCheck.judged(
             "count-difference-identity",
             "difference equals the boundary count (less 1 when t = 4 mod 12), every t >= 1",
             not violations,
@@ -209,7 +206,7 @@ def slice_checks(samples: int = 40, t_max: int = 300, seed: int = 0) -> list[Nam
         if first_bad:
             break
     return [
-        _check(
+        NamedCheck.judged(
             "slice-lemma",
             f"{samples} sampled parameters in (3, 4), seed {seed}, t <= {t_max}",
             first_bad is None,
@@ -229,27 +226,28 @@ def lemma_checks(k_max: int = 60, claims_k: int = 200, claims_l: int = 50) -> li
     out = []
     bad = [kl for kl in family["nicebound"] if not verify_nicebound(*kl).passed]
     out.append(
-        _check("nicebound", f"coprime (k, l), l >= 2, k <= {k_max}, outside exclusions",
-               not bad, "all strict" if not bad else f"failures {bad[:3]}")
+        NamedCheck.judged("nicebound", f"coprime (k, l), l >= 2, k <= {k_max}, outside exclusions",
+                          not bad, "all strict" if not bad else f"failures {bad[:3]}")
     )
     bad = [
         kl for kl in family["exceptional"] + family["integral"]
         if not verify_exceptional(*kl).passed
     ]
     out.append(
-        _check("exceptional-and-integral", f"(5,2),(5,3),(5,4) and l = 1, 3 <= k <= {k_max}",
-               not bad, "all strict" if not bad else f"failures {bad[:3]}")
+        NamedCheck.judged("exceptional-and-integral",
+                          f"(5,2),(5,3),(5,4) and l = 1, 3 <= k <= {k_max}",
+                          not bad, "all strict" if not bad else f"failures {bad[:3]}")
     )
     rep = verify_claim_steps(claims_k, claims_l)
     out.append(
-        _check("discriminant-claims", f"k <= {claims_k}, l <= {claims_l}",
-               rep.ok,
-               f"{rep.claim_low_l.checked}+{rep.claim_wide_gap.checked}+{rep.quadratic_step.checked} inequalities")
+        NamedCheck.judged("discriminant-claims", f"k <= {claims_k}, l <= {claims_l}", rep.ok,
+                          f"{rep.claim_low_l.checked}+{rep.claim_wide_gap.checked}"
+                          f"+{rep.quadratic_step.checked} inequalities")
     )
     leftovers_ok = all(verify_nicebound(k, l).passed for k, l in STEP5_LEFTOVERS)
     out.append(
-        _check("finite-leftover-list", "the eleven directly-checked pairs",
-               leftovers_ok, "all strict")
+        NamedCheck.judged("finite-leftover-list", "the eleven directly-checked pairs",
+                          leftovers_ok, "all strict")
     )
     return out
 
@@ -258,7 +256,7 @@ def case43_checks(t_max: int = 300, step: Fraction = Fraction(1, 20)) -> list[Na
     rep = verify_43_case(t_max, grid_43(step))
     bad = [r.a for r in rep.rows if not r.ok]
     return [
-        _check(
+        NamedCheck.judged(
             "four-thirds-function",
             f"plateau 3/2 on [2,3], line (a+3)/4 on [3,4], t_max = {t_max}",
             rep.ok,
