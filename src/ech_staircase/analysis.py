@@ -131,6 +131,17 @@ class BoundCase:
     governing: tuple[int, ...]  # bullet indices; every bullet when special
 
 
+# the five cases, built once: verify_nicebound's guard asks bound_case on every
+# call, and building a frozen dataclass costs more than the rest of the split
+_STAIRCASE, _FOUR_THIRDS, _INTEGRAL, _EXCEPTIONAL, _NICEBOUND = (
+    BoundCase("staircase", None, (1, 2, 3, 4, 5, 6, 7)),
+    BoundCase("four-thirds", None, (1, 2, 3, 4, 5, 6, 7)),
+    BoundCase("general", "integral", (1, 2, 3, 6, 7)),
+    BoundCase("general", "exceptional", (1, 2, 3, 4, 5)),
+    BoundCase("general", "nicebound", (1, 2, 3, 4, 5)),
+)
+
+
 def bound_case(k: int, l: int) -> BoundCase:
     """The paper's case split for b = k/l: integer b >= 3 by the integral lemma
     and bullets 1-3, 6, 7; every other general b by bullets 1-5 and the
@@ -138,13 +149,12 @@ def bound_case(k: int, l: int) -> BoundCase:
     if l < 1 or k < l or gcd(k, l) != 1:
         raise ValueError(f"need coprime k >= l >= 1, got ({k}, {l})")
     if (k, l) in STAIRCASE_PAIRS:
-        return BoundCase("staircase", None, (1, 2, 3, 4, 5, 6, 7))
+        return _STAIRCASE
     if (k, l) == (4, 3):
-        return BoundCase("four-thirds", None, (1, 2, 3, 4, 5, 6, 7))
+        return _FOUR_THIRDS
     if l == 1:
-        return BoundCase("general", "integral", (1, 2, 3, 6, 7))
-    lemma = "exceptional" if (k, l) in EXCEPTIONAL_PAIRS else "nicebound"
-    return BoundCase("general", lemma, (1, 2, 3, 4, 5))
+        return _INTEGRAL
+    return _EXCEPTIONAL if (k, l) in EXCEPTIONAL_PAIRS else _NICEBOUND
 
 
 @dataclass(frozen=True)
