@@ -113,6 +113,17 @@ def test_lower_bound_matches_sorted_sum_set(a, b, n):
     assert capacity_lower_bound(a, b, n) == max(src[k] / tgt[k] for k in range(1, n + 1))
 
 
+@pytest.mark.parametrize("b", [F(1), F(2), F(3, 2), F(5)])
+def test_lower_bound_matches_oracle_at_every_depth(b):
+    # every n <= 60, so some n stop inside a run of equal target capacities
+    tgt = brute_capacities(Ellipsoid(F(1), b), 61)
+    for a in (F(1), F(7, 5), F(2), F(5, 2), F(3), F(13, 3), F(6)):
+        src = brute_capacities(Ellipsoid(F(1), a), 61)
+        for n in range(1, 61):
+            expected = max(src[k] / tgt[k] for k in range(1, n + 1))
+            assert capacity_lower_bound(a, b, n) == expected, (a, b, n)
+
+
 def test_ratio_same_on_fraction_and_scaled_int_prefixes():
     for a, b in [(F(7, 2), F(4, 3)), (F(13, 5), F(9, 7)), (F(1), F(11, 3)), (F(5), F(5))]:
         src, tgt = CapacitySequence(Ellipsoid(F(1), a)), CapacitySequence(Ellipsoid(F(1), b))

@@ -30,6 +30,8 @@ COMMANDS = {
     # full size: default --n-cap 2000, so every capacity column is pinned at its real depth
     "theorem-7-3-full-json": "theorem-report --k 7 --l 3 --format json",
     "scan-1-full": "scan --b 1 --a-lo 1 --a-hi 8 --step 1/10",
+    # integer b has the longest runs of equal target capacities
+    "scan-2-full": "scan --b 2 --a-lo 1 --a-hi 7 --step 1/10",
 }
 
 
