@@ -28,6 +28,7 @@ from .analysis import (
     verify_nicebound,
 )
 from .capacities import (
+    MAX_TERMS,
     CapacitySequence,
     capacity,
     capacity_lower_bound,
@@ -66,6 +67,7 @@ from .surd import QuadraticSurd
 __version__ = "0.1.0"
 
 __all__ = [
+    "MAX_TERMS",
     "AccumulationData",
     "AdaptiveScalar",
     "BoundCase",

@@ -174,31 +174,39 @@ class LemmaCheck:
         return self.verdict == "pass"
 
 
-def _compare_a0(name: str, k: int, l: int, bound: Fraction) -> LemmaCheck:
-    a0 = accumulation_point(k, l).a0
+_LEMMA_BOUNDS = {
+    "nicebound": lambda k, l: Fraction(k + l + 1, l),
+    "exceptional": lambda k, l: Fraction(k, l) * Fraction(k // l + 2, k // l + 1) ** 2,
+    "integral": lambda k, l: Fraction(k * (k + 3) ** 2, (k + 1) ** 2),
+}
+
+
+def _lemma_check(case: BoundCase, k: int, l: int, a0: QuadraticSurd | None = None) -> LemmaCheck:
+    """a0 < the bound of the lemma that `case` gives (k, l), with no second
+    case split; a0 is computed unless the caller already holds it."""
+    bound = _LEMMA_BOUNDS[case.lemma](k, l)
+    if a0 is None:
+        a0 = accumulation_point(k, l).a0
     strict = a0 < bound
     margin = (QuadraticSurd.from_rational(bound) - a0).decimal(12)
-    return LemmaCheck(name, k, l, "pass" if strict else "fail", bound, a0, margin)
+    return LemmaCheck(case.lemma, k, l, "pass" if strict else "fail", bound, a0, margin)
 
 
 def verify_nicebound(k: int, l: int) -> LemmaCheck:
     """a0(k, l) < (k + l + 1)/l, for every pair that bound_case gives this lemma."""
-    if bound_case(k, l).lemma != "nicebound":
+    case = bound_case(k, l)
+    if case.lemma != "nicebound":
         return LemmaCheck("nicebound", k, l, "excluded")
-    return _compare_a0("nicebound", k, l, Fraction(k + l + 1, l))
+    return _lemma_check(case, k, l)
 
 
 def verify_exceptional(k: int, l: int) -> LemmaCheck:
     """The two stragglers: a0 < b(floor(b)+2)^2/(floor(b)+1)^2 for the three
     exceptional pairs, and a0 < k(k+3)^2/(k+1)^2 for integer b = k >= 3."""
-    lemma = bound_case(k, l).lemma
-    if lemma == "exceptional":
-        b = Fraction(k, l)
-        f = b.__floor__()
-        return _compare_a0("exceptional", k, l, b * Fraction(f + 2) ** 2 / (f + 1) ** 2)
-    if lemma == "integral":
-        return _compare_a0("integral", k, l, Fraction(k * (k + 3) ** 2, (k + 1) ** 2))
-    raise ValueError(f"({k}, {l}) is outside both exceptional families")
+    case = bound_case(k, l)
+    if case.lemma not in ("exceptional", "integral"):
+        raise ValueError(f"({k}, {l}) is outside both exceptional families")
+    return _lemma_check(case, k, l)
 
 
 @dataclass(frozen=True)
@@ -284,15 +292,12 @@ class Case43Report:
 
 
 def _grid(lo: Fraction, hi, step: Fraction) -> list[Fraction]:
-    """The rationals lo, lo + step, ... not exceeding hi, which may be a surd."""
-    step = Fraction(step)
+    """The rationals lo, lo + step, ... not exceeding hi, which may be a surd;
+    one exact floor gives their number."""
+    lo, step = Fraction(lo), Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    points, a = [], Fraction(lo)
-    while a <= hi:
-        points.append(a)
-        a += step
-    return points
+    return [lo + i * step for i in range(floor((hi - lo) / step) + 1)]
 
 
 def grid_43(step: Fraction = Fraction(1, 20)) -> list[Fraction]:
@@ -504,7 +509,7 @@ def theorem_report(k: int, l: int) -> TheoremReport:
             f"bound {lb}, bound^2 * b = {lb * lb * b}",
         ))
     else:
-        check = verify_nicebound(k, l) if case.lemma == "nicebound" else verify_exceptional(k, l)
+        check = _lemma_check(case, k, l, a0)
         checks += [
             NamedCheck.judged(f"bound-lemma-{case.lemma}", f"a0 < {check.bound}",
                               check.passed, f"margin {check.margin}"),

@@ -3,8 +3,14 @@
 c_k(E(a, b)) is the (k+1)-st smallest element of the multiset
 {m*a + n*b : m, n >= 0}, ties counted with multiplicity.  Generation runs in
 integers scaled by the common denominator of a and b: every lattice value up
-to a cutoff is listed and sorted once.  Ratios are compared by
-cross-multiplication, so a Fraction is built only for the results.
+to a cutoff is listed and sorted once, and no request may ask for more than
+MAX_TERMS values.  Ratios are compared by cross-multiplication, so a Fraction
+is built only for the results.
+
+The sup-ratio bound compares only where the target's capacities step up.  For
+k >= 1 the target c_k(E(1, b)) is positive and constant on each run of equal
+values, while the source never decreases, so the largest ratio of a run sits
+at its last index; the bound reads the source there and at k = n alone.
 """
 
 from __future__ import annotations
@@ -13,8 +19,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import itemgetter
 
 from .core import Ellipsoid
+
+MAX_TERMS = 10**6  # the most capacities one request may materialize
 
 
 class CapacitySequence:
@@ -33,7 +42,9 @@ class CapacitySequence:
         self.scaled: list[int] = []
 
     def extend_to(self, count: int) -> "CapacitySequence":
-        """Ensure at least `count` values are materialized."""
+        """Ensure at least `count` values are materialized, count <= MAX_TERMS."""
+        if count > MAX_TERMS:
+            raise ValueError(f"asked for {count} capacities; at most {MAX_TERMS} per request")
         have = len(self.scaled)
         if have >= count:
             return self
@@ -97,17 +108,25 @@ def max_capacity_ratio(
 
 
 @lru_cache(maxsize=4)
-def _target_prefix(b: Fraction, count: int) -> tuple[int, ...]:
-    """c_0, ..., c_{count-1} of E(1, b), scaled by b.denominator."""
-    return tuple(CapacitySequence(Ellipsoid(Fraction(1), b)).extend_to(count).scaled[:count])
+def _target_run_ends(b: Fraction, count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The indices 0, the last index of each run of equal values among
+    c_1..c_{count-1} of E(1, b), and count - 1; with c_k there, scaled by
+    b.denominator."""
+    scaled = CapacitySequence(Ellipsoid(Fraction(1), b)).extend_to(count).scaled
+    last = count - 1
+    ends = (0, *(k for k in range(1, last) if scaled[k] != scaled[k + 1]), last)
+    return ends, tuple(scaled[k] for k in ends)
 
 
 def capacity_lower_bound(a: Fraction, b: Fraction, n: int) -> Fraction:
     """Certified lower bound for the embedding function at (a, b):
     max over 1 <= k <= n of c_k(E(1, a)) / c_k(E(1, b)).
 
+    Only the last index of each run of equal target values, and k = n, are
+    compared: the target is positive and constant on a run and the source is
+    nondecreasing, so no other index of the run can give a larger ratio.
     A lower bound only; exact decisions go through the lattice-count
-    criterion in the ehrhart module.  The target prefix is cached per (b, n),
+    criterion in the ehrhart module.  The run ends are cached per (b, n),
     since grid scans ask for many a against one b.
     """
     a, b = Fraction(a), Fraction(b)
@@ -115,6 +134,7 @@ def capacity_lower_bound(a: Fraction, b: Fraction, n: int) -> Fraction:
         raise ValueError("parameters must be at least 1")
     if n < 1:
         raise ValueError("need n >= 1")
+    ends, target = _target_run_ends(b, n + 1)
     src = CapacitySequence(Ellipsoid(Fraction(1), a)).extend_to(n + 1)
-    ratio = max_capacity_ratio(src.scaled[: n + 1], _target_prefix(b, n + 1))
+    ratio = max_capacity_ratio(itemgetter(*ends)(src.scaled), target)
     return ratio * Fraction(b.denominator, src.scale)

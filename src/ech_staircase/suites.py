@@ -19,11 +19,11 @@ from math import gcd, isqrt
 from .analysis import (
     NamedCheck,
     STEP5_LEFTOVERS,
+    _lemma_check,
     bound_case,
     grid_43,
     verify_43_case,
     verify_claim_steps,
-    verify_exceptional,
     verify_nicebound,
 )
 from .capacities import capacity_prefix
@@ -222,16 +222,17 @@ def lemma_checks(k_max: int = 60, claims_k: int = 200, claims_l: int = 50) -> li
     for k in range(1, k_max + 1):
         for l in range(1, k + 1):
             if gcd(k, l) == 1:
-                family[bound_case(k, l).lemma].append((k, l))
+                case = bound_case(k, l)
+                family[case.lemma].append((case, k, l))
     out = []
-    bad = [kl for kl in family["nicebound"] if not verify_nicebound(*kl).passed]
+    bad = [(k, l) for case, k, l in family["nicebound"] if not _lemma_check(case, k, l).passed]
     out.append(
         NamedCheck.judged("nicebound", f"coprime (k, l), l >= 2, k <= {k_max}, outside exclusions",
                           not bad, "all strict" if not bad else f"failures {bad[:3]}")
     )
     bad = [
-        kl for kl in family["exceptional"] + family["integral"]
-        if not verify_exceptional(*kl).passed
+        (k, l) for case, k, l in family["exceptional"] + family["integral"]
+        if not _lemma_check(case, k, l).passed
     ]
     out.append(
         NamedCheck.judged("exceptional-and-integral",

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ech_staircase import capacities
 from ech_staircase.capacities import (
+    MAX_TERMS,
     CapacitySequence,
     capacity,
     capacity_lower_bound,
@@ -124,6 +126,24 @@ def test_lower_bound_matches_oracle_at_every_depth(b):
             assert capacity_lower_bound(a, b, n) == expected, (a, b, n)
 
 
+def test_lower_bound_compares_only_run_ends(monkeypatch):
+    # c_1..c_2000 of E(1, 2) fall into 88 runs of equal values; with k = 0
+    # in front, 89 entries reach the ratio kernel instead of 2001
+    seen = []
+    kernel = capacities.max_capacity_ratio
+
+    def spy(source, target):
+        seen.append((len(source), len(target)))
+        return kernel(source, target)
+
+    monkeypatch.setattr(capacities, "max_capacity_ratio", spy)
+    src = brute_capacities(Ellipsoid(F(1), F(5)), 2001)
+    tgt = brute_capacities(Ellipsoid(F(1), F(2)), 2001)
+    expected = max(src[k] / tgt[k] for k in range(1, 2001))
+    assert capacity_lower_bound(F(5), F(2), 2000) == expected == F(5, 3)
+    assert seen == [(89, 89)]
+
+
 def test_ratio_same_on_fraction_and_scaled_int_prefixes():
     for a, b in [(F(7, 2), F(4, 3)), (F(13, 5), F(9, 7)), (F(1), F(11, 3)), (F(5), F(5))]:
         src, tgt = CapacitySequence(Ellipsoid(F(1), a)), CapacitySequence(Ellipsoid(F(1), b))
@@ -139,3 +159,15 @@ def test_extreme_eccentricity_lists_bounded_work(e):
     seq = CapacitySequence(e).extend_to(3000)
     assert 3000 <= len(seq.scaled) <= 2 * 3000
     assert seq.prefix(50) == brute_capacities(e, 50)
+
+
+def test_requests_beyond_max_terms_are_refused():
+    e = Ellipsoid(F(1), F(4, 3))
+    with pytest.raises(ValueError, match="per request"):
+        CapacitySequence(e).extend_to(MAX_TERMS + 1)
+    with pytest.raises(ValueError, match="per request"):
+        capacity(e, 10**12)
+    with pytest.raises(ValueError, match="per request"):
+        capacity_prefix(e, 10**9)
+    with pytest.raises(ValueError, match="per request"):
+        capacity_lower_bound(F(2), F(4, 3), MAX_TERMS)

@@ -100,6 +100,19 @@ def test_scan_csv_roundtrip(capsys):
     assert by_a[F(3)]["volume_bound"].startswith("1.5")
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--b", "2", "--a-lo", "1", "--a-hi", "2", "--n-cap", "1000000000"),
+    ("capacities", "--ellipsoid", "1", "4/3", "--count", "1000000000"),
+    ("theorem-report", "--k", "2", "--l", "1", "--n-cap", "1000000000"),
+])
+def test_over_budget_capacity_request_is_usage_error(capsys, argv):
+    # refused before any term is listed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "at most 1000000 per request" in err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "ehrhart-tables", "--format", "json"
