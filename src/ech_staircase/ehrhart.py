@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, gcd, lcm
 
 from .core import Ellipsoid
@@ -113,14 +114,38 @@ def fit_quasi_polynomial(tri: RightTriangle) -> QuasiPolynomial:
     the linear and constant terms; counts at r + 2p and r + 3p verify the fit
     through the second difference 2 * area * p**2 = (u*p) * (v*p), an integer
     (failure signals a counting bug, not bad input).
+
+    The counts come from the triangle's shift symmetry.  With u = alpha/beta
+    and v = gamma/delta, a lattice point (x, y) lies at level
+    x*beta/alpha + y*delta/gamma, so moving it alpha columns lowers its level
+    by beta and moving it gamma rows lowers it by delta.  By inclusion-exclusion
+    only the alpha-by-gamma corner box is left, and all of it lies below level
+    beta + delta; so the step s(t) = count(t) - count(t-1) obeys
+    s(t) = s(t-beta) + s(t-delta) - s(t-beta-delta) for every t > beta + delta.
+    Seeding s(1..beta+delta) with triangle_count makes the fit cost
+    beta + delta counts plus O(p) additions, instead of 4p counts.
     """
-    period = lcm(tri.u.denominator, tri.v.denominator)
+    beta, delta = tri.u.denominator, tri.v.denominator
+    period = lcm(beta, delta)
     second = int(tri.u * period * tri.v * period)
     den = 2 * period * period  # leading = second / den
+    box = beta + delta  # <= 2 * period, so the seeds end below level 4 * period
+    steps = [1]  # s(0) = count(0)
+    prev = 1
+    for t in range(1, box + 1):
+        count = triangle_count(tri, t)
+        steps.append(count - prev)
+        prev = count
+    for t in range(box + 1, 4 * period):
+        steps.append(steps[t - beta] + steps[t - delta] - steps[t - box])
+    # l_j runs through count(r + j*period); it starts at count(j*period - 1)
+    l0, l1, l2, l3 = (sum(islice(steps, j * period)) for j in range(4))
     linear: list[Fraction] = []
     constant: list[Fraction] = []
-    for r in range(period):
-        l0, l1, l2, l3 = (triangle_count(tri, r + j * period) for j in range(4))
+    shifted = zip(steps, islice(steps, period, None), islice(steps, 2 * period, None),
+                  islice(steps, 3 * period, None))
+    for r, (s0, s1, s2, s3) in enumerate(shifted):
+        l0, l1, l2, l3 = l0 + s0, l1 + s1, l2 + s2, l3 + s3
         if l2 - 2 * l1 + l0 != second or l3 - 2 * l2 + l1 != second:
             raise FitConsistencyError(f"fit for {tri} fails hold-out at residue {r}")
         b_num = 2 * period * (l1 - l0) - second * (2 * r + period)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ech_staircase import cli
 from ech_staircase.cli import main, parse_rational
 
 
@@ -105,8 +106,12 @@ def test_scan_csv_roundtrip(capsys):
     ("capacities", "--ellipsoid", "1", "4/3", "--count", "1000000000"),
     ("theorem-report", "--k", "2", "--l", "1", "--n-cap", "1000000000"),
 ])
-def test_over_budget_capacity_request_is_usage_error(capsys, argv):
-    # refused before any term is listed
+def test_over_budget_capacity_request_is_usage_error(capsys, monkeypatch, argv):
+    # refused before any term is listed, and before any theorem report is built
+    def unreachable(*args):
+        raise AssertionError("theorem_report called for an over-budget request")
+
+    monkeypatch.setattr(cli, "theorem_report", unreachable)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -111,10 +111,29 @@ def test_fit_tables():
 
 
 def test_fit_evaluates_like_counts():
-    for tri in (TRIANGLE_HALF_SIXTH, TRIANGLE_THIRD_QUARTER, RightTriangle(F(2, 5), F(7, 3))):
+    # T(38/7, 58/21) has 1/u + 1/v < 1; T(13/7, 11/5) has large numerators on both legs
+    for tri in (TRIANGLE_HALF_SIXTH, TRIANGLE_THIRD_QUARTER, RightTriangle(F(2, 5), F(7, 3)),
+                RightTriangle(F(38, 7), F(58, 21)), RightTriangle(F(13, 7), F(11, 5))):
         qp = fit_quasi_polynomial(tri)
         for t in range(0, 4 * qp.period + 1):
             assert qp(t) == triangle_count(tri, t)
+
+
+def test_fit_counts_only_the_shift_seeds(monkeypatch):
+    # with u = alpha/beta and v = gamma/delta, the steps of the count obey a
+    # recurrence past level beta + delta, so only levels 1..beta + delta are counted
+    from ech_staircase import ehrhart
+
+    calls = []
+
+    def counting(tri, t):
+        calls.append(t)
+        return triangle_count(tri, t)
+
+    monkeypatch.setattr(ehrhart, "triangle_count", counting)
+    qp = fit_quasi_polynomial(RightTriangle(F(3, 79), F(1, 109)))
+    assert qp.period == 8611
+    assert len(calls) <= 79 + 109
 
 
 def test_fit_is_exact_at_large_dilations():
