@@ -26,7 +26,7 @@ from .core import Ellipsoid
 MAX_TERMS = 10**6  # the most capacities one request may materialize
 
 
-def _check_budget(count: int) -> None:
+def check_budget(count: int) -> None:
     """Refuse a request for more than MAX_TERMS capacities (ValueError)."""
     if count > MAX_TERMS:
         raise ValueError(f"asked for {count} capacities; at most {MAX_TERMS} per request")
@@ -49,7 +49,7 @@ class CapacitySequence:
 
     def extend_to(self, count: int) -> "CapacitySequence":
         """Ensure at least `count` values are materialized, count <= MAX_TERMS."""
-        _check_budget(count)
+        check_budget(count)
         have = len(self.scaled)
         if have >= count:
             return self

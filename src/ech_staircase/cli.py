@@ -22,7 +22,7 @@ from .analysis import (
     theorem_report,
     verify_43_case,
 )
-from .capacities import _check_budget, capacity_prefix
+from .capacities import check_budget, capacity_prefix
 from .core import Ellipsoid, accumulation_point
 from .ehrhart import RightTriangle, fit_quasi_polynomial, triangle_count
 from .intervals import PrecisionError
@@ -169,7 +169,7 @@ def _cmd_report43(ns: argparse.Namespace) -> int:
 
 
 def _cmd_theorem_report(ns: argparse.Namespace) -> int:
-    _check_budget(ns.n_cap + 1)  # the scan reads c_0..c_n_cap: refuse before building the report
+    check_budget(ns.n_cap + 1)  # the scan reads c_0..c_n_cap: refuse before building the report
     rep = theorem_report(ns.k, ns.l)
     scan = scan_rows(rep.b, Fraction(1), rep.a0 + 1, ns.grid_step, ns.n_cap)
     if ns.format == "text":

@@ -111,9 +111,8 @@ def fit_quasi_polynomial(tri: RightTriangle) -> QuasiPolynomial:
     """Fit the Ehrhart quasi-polynomial of tri exactly.
 
     The leading coefficient is the area u*v/2, so two counts per residue pin
-    the linear and constant terms; counts at r + 2p and r + 3p verify the fit
-    through the second difference 2 * area * p**2 = (u*p) * (v*p), an integer
-    (failure signals a counting bug, not bad input).
+    the linear and constant terms; the counts at r + 2p and r + 3p must show
+    the second difference 2 * area * p**2 = (u*p) * (v*p), an integer.
 
     The counts come from the triangle's shift symmetry.  With u = alpha/beta
     and v = gamma/delta, a lattice point (x, y) lies at level
@@ -122,28 +121,38 @@ def fit_quasi_polynomial(tri: RightTriangle) -> QuasiPolynomial:
     only the alpha-by-gamma corner box is left, and all of it lies below level
     beta + delta; so the step s(t) = count(t) - count(t-1) obeys
     s(t) = s(t-beta) + s(t-delta) - s(t-beta-delta) for every t > beta + delta.
-    Seeding s(1..beta+delta) with triangle_count makes the fit cost
-    beta + delta counts plus O(p) additions, instead of 4p counts.
+    Seeding s(1..beta+delta) with triangle_count gives every level below 4p.
+
+    The recurrence also runs backwards, from the beta + delta steps past the
+    seeds down to the seeds themselves.  So recounting levels beta + delta + 1
+    through 2 * (beta + delta) with triangle_count and matching the derived
+    counts checks every seed; a mismatch, like a wrong second difference,
+    raises FitConsistencyError (a counting bug, not bad input).  A fit of
+    period p costs 2 * (beta + delta) counts plus O(p) additions, not 4p counts.
     """
     beta, delta = tri.u.denominator, tri.v.denominator
     period = lcm(beta, delta)
     second = int(tri.u * period * tri.v * period)
     den = 2 * period * period  # leading = second / den
-    box = beta + delta  # <= 2 * period, so the seeds end below level 4 * period
+    box = beta + delta  # <= 2 * period
     steps = [1]  # s(0) = count(0)
-    prev = 1
+    count = 1
     for t in range(1, box + 1):
-        count = triangle_count(tri, t)
-        steps.append(count - prev)
-        prev = count
-    for t in range(box + 1, 4 * period):
+        steps.append(triangle_count(tri, t) - count)
+        count += steps[t]
+    # the hold-out reaches level 2 * box, one past 4 * period - 1 when beta == delta
+    for t in range(box + 1, max(4 * period, 2 * box + 1)):
         steps.append(steps[t - beta] + steps[t - delta] - steps[t - box])
+    for t in range(box + 1, 2 * box + 1):
+        count += steps[t]
+        if count != triangle_count(tri, t):
+            raise FitConsistencyError(f"fit for {tri} fails hold-out at level {t}")
     # l_j runs through count(r + j*period); it starts at count(j*period - 1)
     l0, l1, l2, l3 = (sum(islice(steps, j * period)) for j in range(4))
     linear: list[Fraction] = []
     constant: list[Fraction] = []
-    shifted = zip(steps, islice(steps, period, None), islice(steps, 2 * period, None),
-                  islice(steps, 3 * period, None))
+    shifted = zip(islice(steps, period), islice(steps, period, None),
+                  islice(steps, 2 * period, None), islice(steps, 3 * period, None))
     for r, (s0, s1, s2, s3) in enumerate(shifted):
         l0, l1, l2, l3 = l0 + s0, l1 + s1, l2 + s2, l3 + s3
         if l2 - 2 * l1 + l0 != second or l3 - 2 * l2 + l1 != second:

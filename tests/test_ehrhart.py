@@ -119,9 +119,10 @@ def test_fit_evaluates_like_counts():
             assert qp(t) == triangle_count(tri, t)
 
 
-def test_fit_counts_only_the_shift_seeds(monkeypatch):
+def test_fit_counts_only_seeds_and_hold_out(monkeypatch):
     # with u = alpha/beta and v = gamma/delta, the steps of the count obey a
-    # recurrence past level beta + delta, so only levels 1..beta + delta are counted
+    # recurrence past level beta + delta, so only levels 1..beta + delta are
+    # counted as seeds and the next beta + delta levels are recounted to check them
     from ech_staircase import ehrhart
 
     calls = []
@@ -133,7 +134,22 @@ def test_fit_counts_only_the_shift_seeds(monkeypatch):
     monkeypatch.setattr(ehrhart, "triangle_count", counting)
     qp = fit_quasi_polynomial(RightTriangle(F(3, 79), F(1, 109)))
     assert qp.period == 8611
-    assert len(calls) <= 79 + 109
+    assert sorted(calls) == list(range(1, 2 * (79 + 109) + 1))
+
+
+@pytest.mark.parametrize("level", [1, 50, 100, 187])
+def test_fit_hold_out_catches_one_wrong_seed(monkeypatch, level):
+    # below level beta + delta = 188, a count one too high raises one step and
+    # lowers the next, which leaves every second difference intact: only the
+    # recount sees it (level 100 lies between the leg denominators 79 and 109)
+    from ech_staircase import ehrhart
+
+    def off_by_one(tri, t):
+        return triangle_count(tri, t) + (t == level)
+
+    monkeypatch.setattr(ehrhart, "triangle_count", off_by_one)
+    with pytest.raises(ehrhart.FitConsistencyError):
+        fit_quasi_polynomial(RightTriangle(F(3, 79), F(1, 109)))
 
 
 def test_fit_is_exact_at_large_dilations():
