@@ -137,19 +137,23 @@ def test_fit_counts_only_seeds_and_hold_out(monkeypatch):
     assert sorted(calls) == list(range(1, 2 * (79 + 109) + 1))
 
 
-@pytest.mark.parametrize("level", [1, 50, 100, 187])
-def test_fit_hold_out_catches_one_wrong_seed(monkeypatch, level):
-    # below level beta + delta = 188, a count one too high raises one step and
-    # lowers the next, which leaves every second difference intact: only the
-    # recount sees it (level 100 lies between the leg denominators 79 and 109)
+@pytest.mark.parametrize("tri, levels", [
+    (RightTriangle(F(3, 79), F(1, 109)), (1, 50, 100, 187)),
+    (RightTriangle(F(38, 7), F(58, 21)), range(1, 7 + 21 + 1)),
+])
+def test_fit_hold_out_catches_one_wrong_seed(monkeypatch, tri, levels):
+    # below level beta + delta, a count one off moves one step up and the next
+    # down, which leaves every second difference intact: only the recount sees
+    # it (for T(3/79, 1/109), level 100 lies between the leg denominators;
+    # for T(38/7, 58/21), every seed level is tried)
     from ech_staircase import ehrhart
 
-    def off_by_one(tri, t):
-        return triangle_count(tri, t) + (t == level)
-
-    monkeypatch.setattr(ehrhart, "triangle_count", off_by_one)
-    with pytest.raises(ehrhart.FitConsistencyError):
-        fit_quasi_polynomial(RightTriangle(F(3, 79), F(1, 109)))
+    for level in levels:
+        for error in (1, -1):
+            monkeypatch.setattr(ehrhart, "triangle_count",
+                                lambda tri, t: triangle_count(tri, t) + error * (t == level))
+            with pytest.raises(ehrhart.FitConsistencyError):
+                fit_quasi_polynomial(tri)
 
 
 def test_fit_is_exact_at_large_dilations():
