@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd
 
-from .capacities import capacity_lower_bound
-from .core import Ellipsoid, accumulation_point
-from .ehrhart import DominationVerdict, embedding_decision
+from .capacities import MAX_TERMS, capacity_lower_bound
+from .core import accumulation_point
+from .ehrhart import verify_diff_identity
 from .surd import QuadraticSurd
 
 EXCEPTIONAL_PAIRS = frozenset({(5, 2), (5, 3), (5, 4)})
@@ -274,16 +274,15 @@ class Case43Row:
     claimed: Fraction
     lower: Fraction
     lower_ok: bool
-    upper: DominationVerdict
+    upper_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.lower_ok and self.upper.holds
+        return self.lower_ok and self.upper_ok
 
 
 @dataclass(frozen=True)
 class Case43Report:
-    t_max: int | None
     rows: tuple[Case43Row, ...]
 
     @property
@@ -293,11 +292,14 @@ class Case43Report:
 
 def _grid(lo: Fraction, hi, step: Fraction) -> list[Fraction]:
     """The rationals lo, lo + step, ... not exceeding hi, which may be a surd;
-    one exact floor gives their number."""
+    one exact floor gives their number, refused past MAX_TERMS."""
     lo, step = Fraction(lo), Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    return [lo + i * step for i in range(floor((hi - lo) / step) + 1)]
+    count = floor((hi - lo) / step) + 1
+    if count > MAX_TERMS:
+        raise ValueError(f"asked for {count} grid points; at most {MAX_TERMS} per request")
+    return [lo + i * step for i in range(count)]
 
 
 def grid_43(step: Fraction = Fraction(1, 20)) -> list[Fraction]:
@@ -311,29 +313,39 @@ def claimed_value_43(a: Fraction) -> Fraction:
     return Fraction(3, 2) if a <= 3 else (a + 3) / 4
 
 
-def verify_43_case(t_max: int | None, a_grid: list[Fraction] | None = None) -> Case43Report:
-    """Pin the embedding function for b = 4/3 on a grid in [2, 4].
+def verify_43_case(a_grid: list[Fraction] | None = None) -> Case43Report:
+    """Pin the embedding function for b = 4/3 on [2, 4].
 
-    Lower side: the k <= 10 capacity ratio must equal the claimed value
-    exactly (k = 2 carries the plateau, k = 10 the line).  Upper side: the
-    lattice counts must confirm the matching embedding at every level <= t_max,
-    or at every level when t_max is None.  The exact check is cheap on
-    theorem_report's nine-point grid, but the default 41-point grid needs 12
-    times as many lattice counts exact as at t_max = 300 (533,279 against
-    43,986; a = 61/20 alone takes 337,076), so report-43 and the case-43
-    suite stay truncated.
+    Lower side, per grid point: the k <= 10 capacity ratio must equal the
+    claimed value exactly (k = 2 carries the plateau, k = 10 the line).
+
+    Upper side, for every real a in [2, 4] (the slice lemma).  Scaled by
+    (a + 3)/12, E(1, a) embeds into ((a + 3)/4) E(1, 4/3) iff
+    count(P(a), t) >= count(T(1/3, 1/4), t) at every integer t >= 1, where
+    P(a) = parameter_triangle(a): T(1/3, 1/4) = {3x + 4y <= t} jumps only at
+    integers.  Row by row, with X_R = (t - 6y)/2, X_P = t/4 + a(t - 12y)/12,
+    the wedges of ehrhart._wedge_rows and the proved verify_diff_identity,
+    count(P(a), t) - count(T(1/3, 1/4), t) = lower - upper - [t = 4 mod 12].
+    Pair upper height y0 with lower height y1 = floor(t/6) - y0 (one-to-one;
+    at t = 12q the crossing row q pairs with itself).  With t = 6m + s,
+    0 <= s < 6, and z = a(12 y0 - t)/12, a nonempty upper row gives
+    lower(y1) - upper(y0) >= floor(t/4 + z + as/6) + ceil(max(0, t/4 - z)) - 3m - s
+                          >= floor(s(3 + a)/6) - s >= 0 for a >= 3.
+    For t = 12q + r with 0 < r < 6, lower row q is unpaired; at r = 4 it holds
+    floor(a/3) >= 1 point.  So the difference is >= 0 for every real a >= 3,
+    and on [2, 3] E(1, a) lies in E(1, 3).  The identity is the one computed
+    premise, so a broken identity fails every row.
     """
     grid = grid_43() if a_grid is None else [Fraction(a) for a in a_grid]
     if any(not 2 <= a <= 4 for a in grid):
         raise ValueError("grid values must lie in [2, 4]")
-    target = Ellipsoid(Fraction(1), Fraction(4, 3))
+    upper_ok = verify_diff_identity() == ()
     rows = []
     for a in grid:
         claimed = claimed_value_43(a)
-        lower = capacity_lower_bound(a, target.b, 10)
-        upper = embedding_decision(Ellipsoid(Fraction(1), a), target.scaled(claimed), t_max)
-        rows.append(Case43Row(a, claimed, lower, lower == claimed, upper))
-    return Case43Report(t_max, tuple(rows))
+        lower = capacity_lower_bound(a, Fraction(4, 3), 10)
+        rows.append(Case43Row(a, claimed, lower, lower == claimed, upper_ok))
+    return Case43Report(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -494,12 +506,13 @@ def theorem_report(k: int, l: int) -> TheoremReport:
             f"bound {lb}, a0 ~ {a0.decimal(10)}",
         ))
     elif case.category == "four-thirds":
-        case43 = verify_43_case(None, grid_43(Fraction(1, 4)))
+        case43 = verify_43_case(grid_43(Fraction(1, 4)))
         checks.append(NamedCheck.judged(
             "four-thirds-case",
             "embedding function pinned on [2, 4]; a0 = 3 is the unique singular point nearby",
             case43.ok,
-            f"{len(case43.rows)} grid points, every level t",
+            f"upper side by the slice lemma for every a, "
+            f"lower side at {len(case43.rows)} grid points",
         ))
         lb = capacity_lower_bound(Fraction(3), b, 10)
         checks.append(NamedCheck.judged(

@@ -33,11 +33,11 @@ def check_budget(count: int) -> None:
 
 
 class CapacitySequence:
-    """Lazily extendable nondecreasing sequence c_0 <= c_1 <= ... of an ellipsoid.
+    """The nondecreasing capacities c_0 <= c_1 <= ... of an ellipsoid, listed once.
 
-    `scaled` holds the materialized values times `scale`, as ints.  Internally
-    stateful; not for concurrent writers.  Use a fresh instance per worker, or
-    the pure helpers below.
+    After `extend_to(count)`, `scaled` holds at least the first `count` values
+    times `scale`, as ints.  Each call lists afresh; callers build one
+    sequence per request.
     """
 
     def __init__(self, ellipsoid: Ellipsoid):
@@ -48,12 +48,8 @@ class CapacitySequence:
         self.scaled: list[int] = []
 
     def extend_to(self, count: int) -> "CapacitySequence":
-        """Ensure at least `count` values are materialized, count <= MAX_TERMS."""
+        """List at least the first `count` values, count <= MAX_TERMS."""
         check_budget(count)
-        have = len(self.scaled)
-        if have >= count:
-            return self
-        count = max(count, 2 * have)  # amortizes c_0, c_1, ... read one by one
         a, b = self._a, self._b
         # Every value <= cap is listed, so the sorted list is a prefix of the
         # sequence.  It has at least `count` entries: the triangle
@@ -68,30 +64,21 @@ class CapacitySequence:
         self.scaled = values
         return self
 
-    def __getitem__(self, k: int) -> Fraction:
-        if k < 0:
-            raise IndexError("capacity index must be nonnegative")
-        self.extend_to(k + 1)
-        return Fraction(self.scaled[k], self.scale)
-
-    def prefix(self, count: int) -> list[Fraction]:
-        self.extend_to(count)
-        scale = self.scale
-        return [Fraction(v, scale) for v in self.scaled[:count]]
-
 
 def capacity(ellipsoid: Ellipsoid, k: int) -> Fraction:
     """Exact c_k of the ellipsoid, k >= 0."""
     if k < 0:
         raise ValueError("capacity index must be nonnegative")
-    return CapacitySequence(ellipsoid)[k]
+    seq = CapacitySequence(ellipsoid).extend_to(k + 1)
+    return Fraction(seq.scaled[k], seq.scale)
 
 
 def capacity_prefix(ellipsoid: Ellipsoid, count: int) -> list[Fraction]:
     """First `count` capacities c_0, ..., c_{count-1}."""
     if count < 1:
         raise ValueError("need at least one capacity")
-    return CapacitySequence(ellipsoid).prefix(count)
+    seq = CapacitySequence(ellipsoid).extend_to(count)
+    return [Fraction(v, seq.scale) for v in seq.scaled[:count]]
 
 
 def max_capacity_ratio(

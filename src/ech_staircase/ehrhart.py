@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import islice
 from math import ceil, gcd, lcm
 
+from .capacities import MAX_TERMS
 from .core import Ellipsoid
 from .intervals import AdaptiveScalar
 
@@ -128,10 +129,14 @@ def fit_quasi_polynomial(tri: RightTriangle) -> QuasiPolynomial:
     through 2 * (beta + delta) with triangle_count and matching the derived
     counts checks every seed; a mismatch, like a wrong second difference,
     raises FitConsistencyError (a counting bug, not bad input).  A fit of
-    period p costs 2 * (beta + delta) counts plus O(p) additions, not 4p counts.
+    period p costs 2 * (beta + delta) counts plus O(p) additions, not 4p counts;
+    a fit whose 4p steps exceed MAX_TERMS is refused (ValueError).
     """
     beta, delta = tri.u.denominator, tri.v.denominator
     period = lcm(beta, delta)
+    if 4 * period > MAX_TERMS:
+        raise ValueError(f"a fit of period {period} lists {4 * period} steps; "
+                         f"at most {MAX_TERMS} per request")
     second = int(tri.u * period * tri.v * period)
     den = 2 * period * period  # leading = second / den
     box = beta + delta  # <= 2 * period

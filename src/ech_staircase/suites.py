@@ -253,13 +253,13 @@ def lemma_checks(k_max: int = 60, claims_k: int = 200, claims_l: int = 50) -> li
     return out
 
 
-def case43_checks(t_max: int = 300, step: Fraction = Fraction(1, 20)) -> list[NamedCheck]:
-    rep = verify_43_case(t_max, grid_43(step))
+def case43_checks(step: Fraction = Fraction(1, 20)) -> list[NamedCheck]:
+    rep = verify_43_case(grid_43(step))
     bad = [r.a for r in rep.rows if not r.ok]
     return [
         NamedCheck.judged(
             "four-thirds-function",
-            f"plateau 3/2 on [2,3], line (a+3)/4 on [3,4], t_max = {t_max}",
+            "plateau 3/2 on [2,3], line (a+3)/4 on [3,4]; upper side by the slice lemma",
             rep.ok,
             f"{len(rep.rows)} grid points" if rep.ok else f"failures at a = {bad[:3]}",
         )
@@ -269,21 +269,20 @@ def case43_checks(t_max: int = 300, step: Fraction = Fraction(1, 20)) -> list[Na
 # each suite reads what it needs from the options mapping built by run_suites
 SUITES = {
     "weights": lambda o: weight_identity_checks(),
-    "capacities": lambda o: capacity_oracle_checks(k_max=min(o["n_cap"], 300), seed=o["seed"]),
+    "capacities": lambda o: capacity_oracle_checks(seed=o["seed"]),
     "ehrhart-tables": lambda o: ehrhart_table_checks(),
     "diff-identity": lambda o: diff_identity_checks(),
     "slices": lambda o: slice_checks(samples=o["samples"], t_max=o["t_max"], seed=o["seed"]),
     "lemmas": lambda o: lemma_checks(),
-    "case-43": lambda o: case43_checks(t_max=o["t_max"]),
+    "case-43": lambda o: case43_checks(),
 }
 
 
 def run_suites(
     names: list[str],
     t_max: int = 300,
-    n_cap: int = 2000,
     seed: int = 0,
     samples: int = 40,
 ) -> list[NamedCheck]:
-    options = {"t_max": t_max, "n_cap": n_cap, "seed": seed, "samples": samples}
+    options = {"t_max": t_max, "seed": seed, "samples": samples}
     return [check for name in names for check in SUITES[name](options)]

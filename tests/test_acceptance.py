@@ -27,6 +27,7 @@ from ech_staircase.ehrhart import (
     TRIANGLE_THIRD_QUARTER,
     RightTriangle,
     boundary_lattice_count,
+    embedding_decision,
     fit_quasi_polynomial,
     region_counts,
     triangle_count,
@@ -95,12 +96,15 @@ def test_acceptance_4_slice_lemma():
 
 def test_acceptance_5_four_thirds_function():
     started = time.monotonic()
-    rep = verify_43_case(300, grid_43(F(1, 20)))
-    assert len(rep.rows) == 41
+    rep = verify_43_case(grid_43(F(1, 20)))
+    assert len(rep.rows) == 41 and rep.ok
+    target = Ellipsoid(F(1), F(4, 3))
     for row in rep.rows:
         assert row.lower == row.claimed, row.a
-        assert row.upper.holds, row.a
-    _report(5, "4/3 function pinned on the 41-point grid, t_max = 300", started, 120.0)
+        # the domination walk through t = 300, an oracle for the slice lemma's upper side
+        assert embedding_decision(Ellipsoid(F(1), row.a), target.scaled(row.claimed), 300), row.a
+    _report(5, "4/3 function: upper side by the slice lemma, lower side and a t <= 300 "
+               "walk on the 41-point grid", started, 120.0)
 
 
 def test_acceptance_6_inequality_lemmas():

@@ -2,13 +2,16 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ech_staircase import analysis
 from ech_staircase.analysis import (
     STEP5_LEFTOVERS,
     BoundCase,
     bound_case,
     bullet_lower_bound,
     bullets_for,
+    claimed_value_43,
     grid_43,
     intersection_points,
     scan_rows,
@@ -20,6 +23,13 @@ from ech_staircase.analysis import (
 )
 from ech_staircase.capacities import capacity
 from ech_staircase.core import Ellipsoid, accumulation_point
+from ech_staircase.ehrhart import (
+    TRIANGLE_THIRD_QUARTER,
+    embedding_decision,
+    parameter_triangle,
+    region_counts,
+    triangle_count,
+)
 from ech_staircase.surd import QuadraticSurd
 
 # the paper's list of l >= 2 pairs outside the nicebound lemma, stated here
@@ -154,26 +164,59 @@ def test_step5_leftovers_pass():
 
 
 def test_verify_43_case_spot_values():
-    rep = verify_43_case(80, [F(2), F(3), F(7, 2), F(4)])
+    rep = verify_43_case([F(2), F(3), F(7, 2), F(4)])
     assert rep.ok
     by_a = {r.a: r for r in rep.rows}
     assert by_a[F(3)].claimed == F(3, 2)
     assert by_a[F(7, 2)].claimed == F(13, 8)
     assert by_a[F(7, 2)].lower == F(13, 8)
-    assert by_a[F(2)].upper.holds
+    assert all(r.upper_ok for r in rep.rows)
     with pytest.raises(ValueError):
-        verify_43_case(50, [F(5)])
+        verify_43_case([F(5)])
+
+
+def test_verify_43_case_upper_side_rests_on_the_identity(monkeypatch):
+    # the slice lemma's one computed premise: a broken identity fails every row
+    monkeypatch.setattr(analysis, "verify_diff_identity", lambda: ((4, 1, 0),))
+    rep = verify_43_case(grid_43(F(1, 2)))
+    assert not rep.ok and not any(r.upper_ok for r in rep.rows)
+    assert all(r.lower_ok for r in rep.rows)
 
 
 def test_four_thirds_case_exact_on_the_report_grid():
-    rep = verify_43_case(None, grid_43(F(1, 4)))
-    assert rep.t_max is None and len(rep.rows) == 9
-    for row in rep.rows:
-        assert row.ok and row.upper.checked_through is None, row.a
-        assert str(row.upper) == "holds for all t"
+    # the exact domination walk is the oracle for the slice lemma's upper side
+    target = Ellipsoid(F(1), F(4, 3))
+    for a in grid_43(F(1, 4)):
+        verdict = embedding_decision(Ellipsoid(F(1), a), target.scaled(claimed_value_43(a)), None)
+        assert verdict.holds and verdict.checked_through is None, a
+        assert str(verdict) == "holds for all t"
     rep = theorem_report(4, 3)
     (check,) = [c for c in rep.checks if c.name == "four-thirds-case"]
-    assert check.verdict == "pass" and check.witness == "9 grid points, every level t"
+    assert check.verdict == "pass"
+    assert check.witness == "upper side by the slice lemma for every a, lower side at 9 grid points"
+
+
+# a = 3 + p/q in (3, 4] with q < 60
+_RATIONALS_3_4 = st.integers(1, 59).flatmap(
+    lambda q: st.integers(1, q).map(lambda p: 3 + F(p, q))
+)
+
+
+@given(a=_RATIONALS_3_4, t=st.integers(1, 200))
+@example(a=F(4), t=12)  # every upper bound X_P is a lattice point on the parameter edge
+@settings(max_examples=400, deadline=None)
+def test_slice_lemma_count_difference(a, t):
+    rc = region_counts(a, t)
+    diff = triangle_count(parameter_triangle(a), t) - triangle_count(TRIANGLE_THIRD_QUARTER, t)
+    assert diff == rc.lower - rc.upper - (t % 12 == 4)
+    assert diff >= 0
+
+
+@given(a=st.integers(1, 59).flatmap(lambda q: st.integers(4 * q, 12 * q).map(lambda p: F(p, q))),
+       t=st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_slice_lemma_holds_past_four(a, t):
+    assert triangle_count(parameter_triangle(a), t) >= triangle_count(TRIANGLE_THIRD_QUARTER, t)
 
 
 def test_grid_43():
@@ -281,8 +324,6 @@ def test_scan_rows_single_point():
 
 
 def test_scan_capacity_column_matches_43_function():
-    from ech_staircase.analysis import claimed_value_43
-
     rows = scan_rows(F(4, 3), F(2), F(4), F(1, 20), 200)
     assert len(rows) == 41
     for row in rows:

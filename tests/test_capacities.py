@@ -88,17 +88,16 @@ def test_lower_bound_domain():
         capacity_lower_bound(F(2), F(2), 0)
 
 
-def test_sequence_is_lazy_and_reusable():
-    seq = CapacitySequence(Ellipsoid(F(1), F(5, 3)))
-    assert seq[0] == 0
-    assert seq[4] == seq.prefix(5)[-1]
-    assert len(seq.prefix(3)) == 3
+def test_capacity_agrees_with_its_prefix():
+    e = Ellipsoid(F(1), F(5, 3))
+    assert capacity(e, 0) == 0
+    assert capacity(e, 4) == capacity_prefix(e, 5)[-1]
+    assert len(capacity_prefix(e, 3)) == 3
 
 
 def test_sequence_read_one_by_one_matches_oracle():
     e = Ellipsoid(F(1, 3), F(5, 7))
-    seq = CapacitySequence(e)
-    assert [seq[k] for k in range(300)] == brute_capacities(e, 300)
+    assert [capacity(e, k) for k in range(300)] == brute_capacities(e, 300)
 
 
 rationals_at_least_1 = st.builds(
@@ -146,11 +145,12 @@ def test_lower_bound_compares_only_run_ends(monkeypatch):
 
 def test_ratio_same_on_fraction_and_scaled_int_prefixes():
     for a, b in [(F(7, 2), F(4, 3)), (F(13, 5), F(9, 7)), (F(1), F(11, 3)), (F(5), F(5))]:
-        src, tgt = CapacitySequence(Ellipsoid(F(1), a)), CapacitySequence(Ellipsoid(F(1), b))
-        fractions = max_capacity_ratio(src.prefix(401), tgt.prefix(401))
+        src_f, tgt_f = (capacity_prefix(Ellipsoid(F(1), x), 401) for x in (a, b))
+        src, tgt = (CapacitySequence(Ellipsoid(F(1), x)).extend_to(401) for x in (a, b))
+        fractions = max_capacity_ratio(src_f, tgt_f)
         ints = max_capacity_ratio(src.scaled[:401], tgt.scaled[:401])
         assert fractions == ints * F(tgt.scale, src.scale)
-        assert fractions == max(s / t for s, t in zip(src.prefix(401)[1:], tgt.prefix(401)[1:]))
+        assert fractions == max(s / t for s, t in zip(src_f[1:], tgt_f[1:]))
 
 
 @pytest.mark.parametrize("e", [Ellipsoid(F(1), F(10**12)), Ellipsoid(F(1, 10**6), F(1))])
@@ -158,7 +158,7 @@ def test_extreme_eccentricity_lists_bounded_work(e):
     # work is counted, not timed: the sorted list is all that is materialized
     seq = CapacitySequence(e).extend_to(3000)
     assert 3000 <= len(seq.scaled) <= 2 * 3000
-    assert seq.prefix(50) == brute_capacities(e, 50)
+    assert capacity_prefix(e, 50) == brute_capacities(e, 50)
 
 
 def test_requests_beyond_max_terms_are_refused():

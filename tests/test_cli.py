@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ech_staircase import cli
+from ech_staircase import analysis, cli, ehrhart
+from ech_staircase.capacities import MAX_TERMS
 from ech_staircase.cli import main, parse_rational
 
 
@@ -157,11 +158,11 @@ def test_verify_failure_sets_exit_status(capsys, monkeypatch):
 
 def test_report_43_quick(capsys):
     code, out, _ = run_cli(
-        capsys, "report-43", "--t-max", "40", "--grid-step", "1/2", "--format", "json"
+        capsys, "report-43", "--grid-step", "1/2", "--format", "json"
     )
     assert code == 0
     rows = json.loads(out)
-    assert len(rows) == 5 and all(r["ok"] for r in rows)
+    assert len(rows) == 5 and all(r["ok"] and r["upper_ok"] for r in rows)
 
 
 def test_theorem_report_json(capsys):
@@ -206,6 +207,79 @@ def test_theorem_report_has_no_truncation_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["theorem-report", "--t-max", "5", "--k", "4", "--l", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("report-43", "--t-max", "40"),
+    ("verify", "--suite", "capacities", "--n-cap", "300"),
+    ("ehrhart", "--triangle", "1/2", "1/6", "--precision", "5"),
+    ("verify", "--suite", "diff-identity", "--precision", "5"),
+    ("report-43", "--precision", "5"),
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "slices", "--t-max", "0"),
+    ("verify", "--suite", "slices", "--samples", "0"),
+    ("verify", "--suite", "all", "--t-max", "-1"),
+])
+def test_verify_refuses_vacuous_ranges(capsys, monkeypatch, argv):
+    # a slice lemma over no level or no sample would pass vacuously
+    def unreachable(*args, **kwargs):
+        raise AssertionError("suites run for a vacuous range")
+
+    monkeypatch.setattr(cli, "run_suites", unreachable)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--b", "2", "--a-lo", "1", "--a-hi", "2", "--step", "1/1000000000"),
+    ("report-43", "--grid-step", "1/1000000000"),
+    ("theorem-report", "--k", "5", "--l", "2", "--grid-step", "1/1000000000"),
+])
+def test_over_budget_grid_is_usage_error(capsys, monkeypatch, argv):
+    # an unguarded grid would build all its points before the first per-point
+    # call, so every range that analysis asks for is counted and capped
+    asked = []
+
+    def counted_range(*args):
+        asked.append(len(range(*args)))
+        if asked[-1] > MAX_TERMS:
+            raise AssertionError(f"range of {asked[-1]} built past the budget")
+        return range(*args)
+
+    def per_point(*args):
+        raise AssertionError("a grid point was evaluated")
+
+    monkeypatch.setattr(analysis, "range", counted_range, raising=False)
+    for name in ("capacity_lower_bound", "bullet_lower_bound"):
+        monkeypatch.setattr(analysis, name, per_point)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "grid points; at most 1000000 per request" in err
+    assert asked == []
+
+
+def test_over_budget_fit_is_usage_error(capsys, monkeypatch):
+    # period 1000 * 1009: 4P steps exceed MAX_TERMS, refused before the first seed count;
+    # a seed count stops the test, so an unguarded fit never fills its steps
+    counts = []
+
+    def counted(*args):
+        counts.append(args)
+        raise AssertionError("a seed was counted")
+
+    monkeypatch.setattr(ehrhart, "triangle_count", counted)
+    code, out, err = run_cli(capsys, "ehrhart", "--triangle", "1/1000", "1/1009", "--fit")
+    assert code == 2 and out == ""
+    assert "at most 1000000 per request" in err
+    assert counts == []
 
 
 def test_output_file(tmp_path, capsys):

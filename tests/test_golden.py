@@ -22,7 +22,7 @@ COMMANDS = {
     "scan-43": "scan --b 4/3 --a-lo 2 --a-hi 4 --step 1/20 --n-cap 200",
     "verify-ehrhart-tables-json": "verify --suite ehrhart-tables --format json",
     "verify-slices-json": "verify --suite slices --samples 6 --t-max 60 --format json",
-    "report-43": "report-43 --t-max 40 --grid-step 1/4",
+    "report-43": "report-43 --grid-step 1/4",
     "theorem-2-1-text": "theorem-report --k 2 --l 1 --n-cap 30 --grid-step 1/2",
     "theorem-4-3-csv": "theorem-report --k 4 --l 3 --n-cap 30 --grid-step 1/2 --format csv",
     "theorem-5-2-json": "theorem-report --k 5 --l 2 --n-cap 30 --grid-step 1/2 --format json",
